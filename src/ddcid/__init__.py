@@ -2,7 +2,6 @@
 intermittent diffusion, plus the benchmark harness around it."""
 
 from .potentials import (
-    AuxiliaryPotential,
     ClusterCoordinates,
     EvaluationError,
     NonlinearSystem,
@@ -27,7 +26,6 @@ from .spectral import (
     ZeroGradientError,
     alignment_ratio,
     eigendecompose,
-    extremal_eigenpairs,
     newton_solve,
     positive_part_pseudoinverse,
 )

@@ -82,7 +82,7 @@ def _cmd_run(args) -> int:
     )
     spec = BenchmarkSpec(
         problem=args.problem, config=config, repetitions=args.reps,
-        method=args.method, output=args.out, fmt=args.format,
+        method=args.method,
         target_value=args.target, target_tol=args.target_tol,
         mc_starts=args.mc_starts,
         anneal=AnnealConfig(iteration_budget=args.anneal_budget,

@@ -8,9 +8,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .local_search import StepController, StepUnderflowError, alignment_threshold
-from .potentials import EvaluationError, Potential
-from .spectral import SpectralInfo, eigendecompose, newton_solve, positive_part_pseudoinverse
+from .local_search import StepController, StepUnderflowError, _damped_step, alignment_threshold
+from .potentials import Potential
+from .spectral import (
+    SpectralInfo,
+    alignment_ratio,
+    eigendecompose,
+    newton_solve,
+    positive_part_pseudoinverse,
+)
 
 ESCAPED = "escaped"
 BUDGET_EXHAUSTED = "budget_exhausted"
@@ -24,11 +30,9 @@ class NoiseSource:
     """Seeded stream of standard-normal draws; identical seeds reproduce
     identical sequences bit-for-bit."""
 
-    def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
+    def __init__(self, seed: int):
         self.seed = int(seed)
-        self._spawn_key = tuple(_spawn_key)
-        self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=self._spawn_key)))
+        self._gen = np.random.default_rng(self.seed)
 
     def normal(self, n: int) -> np.ndarray:
         return self._gen.standard_normal(n)
@@ -42,10 +46,6 @@ class NoiseSource:
 
     def integer(self, n: int) -> int:
         return int(self._gen.integers(n))
-
-    def derive(self, index: int) -> "NoiseSource":
-        """Independent child stream for repetition ``index``."""
-        return NoiseSource(self.seed, self._spawn_key + (int(index),))
 
 
 @dataclass
@@ -139,29 +139,96 @@ def white_noise_id_step(p: Potential, x: np.ndarray, h: float, sigma: float,
     return x - h * np.asarray(p.gradient(x), dtype=float) + math.sqrt(h) * sigma * noise.normal(x.size)
 
 
-def _aux(p: Potential, x: np.ndarray) -> float:
-    g = np.asarray(p.gradient(x), dtype=float)
-    return 0.5 * float(g @ g)
+def _aux(grad: np.ndarray) -> float:
+    return 0.5 * float(grad @ grad)
 
 
-def _find_predictor_step(p: Potential, x: np.ndarray, direction: np.ndarray,
-                         accept) -> tuple[np.ndarray, float]:
-    """Line-search the deterministic predictor step each diffusive iteration:
-    start from h = 1 and halve until ``accept(x_hat)`` holds; raises
-    StepUnderflowError at the lower step bound."""
-    ctrl = StepController()
+def _newton_predictor(grad: np.ndarray, hess: np.ndarray, s: SpectralInfo,
+                      last: TrajectoryStep):
+    """From a minimum: x_hat = x - h H^dagger grad g, which must decrease G."""
+    return newton_solve(hess, grad), None, last.aux_value
+
+
+def _descent_predictor(grad: np.ndarray, hess: np.ndarray, s: SpectralInfo,
+                       last: TrajectoryStep):
+    """From a saddle: the double-descent step, which must decrease g and G,
+    when the gradient has a meaningful positive-subspace component;
+    otherwise a gradient step, which must decrease g.  None at an exact
+    critical point, where no predictor exists."""
+    grad_norm = float(np.linalg.norm(grad))
+    if grad_norm == 0.0:
+        return None
+    if alignment_ratio(s, grad) > alignment_threshold(grad.size):
+        return positive_part_pseudoinverse(s) @ grad, last.value, 0.5 * grad_norm ** 2
+    return grad, last.value, None
+
+
+def _predictor_attempt(p: Potential, x: np.ndarray, direction: np.ndarray,
+                       g_bound: float | None, aux_bound: float | None):
+    """Attempt at x - h direction for the damped line search, accepted when
+    it lowers g below ``g_bound`` and G below ``aux_bound`` (a None bound is
+    not tested).  Returns the candidate and its gradient, if evaluated."""
+    def attempt(h):
+        cand = x - h * direction
+        if g_bound is not None and not float(p.value(cand)) < g_bound:
+            return None
+        if aux_bound is None:
+            return cand, None
+        grad = np.asarray(p.gradient(cand), dtype=float)
+        return (cand, grad) if _aux(grad) < aux_bound else None
+    return attempt
+
+
+def _escape(p: Potential, x0: np.ndarray, cfg: DiffusionConfig, noise: NoiseSource,
+            zero_tol: float | None, from_minimum: bool) -> EscapeResult:
+    """The escape loop shared by both sides: kick along the extremal
+    eigendirection (largest from a minimum, smallest from a saddle), then
+    take damped predictor steps, each followed by rank-one noise along that
+    direction, until the inertia changes or the diffusive budget runs out."""
+    x0 = np.asarray(x0, dtype=float)
+    s = eigendecompose(p.hessian(x0), zero_tol)
+    if (s.n_minus == 0 and s.n_zero == 0) != from_minimum:
+        raise InertiaMismatchError(
+            f"escape_minimum needs a strict minimum, got inertia {s.inertia}" if from_minimum
+            else f"escape_saddle cannot start from a strict minimum, inertia {s.inertia}")
+    which = "largest" if from_minimum else "smallest"
+    predictor = _newton_predictor if from_minimum else _descent_predictor
+    mult_tol = cfg.eigenvalue_multiplicity_tol
+    x = initial_kick(x0, _extremal_direction(s, which, noise, mult_tol), cfg.alpha, noise)
+    steps = 1
+    grad = np.asarray(p.gradient(x), dtype=float)
+    trajectory = [TrajectoryStep(1, x, float(p.value(x)), _aux(grad), s.inertia)]
+
     while True:
-        h = ctrl.current_step
-        x_hat = x - h * direction
-        try:
-            ok = accept(x_hat)
-        except EvaluationError:
-            ok = False
-        if ok:
-            return x_hat, h
-        if ctrl.at_min:
-            raise StepUnderflowError("deterministic predictor line search underflowed")
-        ctrl.reject()
+        hess = p.hessian(x)
+        s = eigendecompose(hess, zero_tol)
+        # the trajectory entry was appended before its inertia was known
+        trajectory[-1].inertia = s.inertia
+        # From a minimum, stop at the first negative eigenvalue; from a
+        # saddle, once none is left.
+        if (s.n_minus != 0 if from_minimum else s.n_minus == 0):
+            return EscapeResult(x, steps, ESCAPED, trajectory)
+        if steps >= cfg.max_diffusive_steps:
+            return EscapeResult(x, steps, BUDGET_EXHAUSTED, trajectory)
+
+        predicted = predictor(grad, hess, s, trajectory[-1])
+        if predicted is None:
+            # Landed exactly on a critical point: only the noise can move us.
+            x = initial_kick(x, _extremal_direction(s, which, noise, mult_tol), cfg.alpha, noise)
+            extra = {}
+        else:
+            found = _damped_step(StepController(), _predictor_attempt(p, x, *predicted))
+            if found is None:
+                raise StepUnderflowError("deterministic predictor line search underflowed")
+            h, (x_hat, grad_hat) = found
+            if grad_hat is None:
+                grad_hat = np.asarray(p.gradient(x_hat), dtype=float)
+            x = x_hat + cfg.alpha * math.sqrt(h) * colored_noise(s, which, noise, mult_tol)
+            extra = dict(predictor=x_hat, step_size=h, predictor_aux=_aux(grad_hat))
+        steps += 1
+        grad = np.asarray(p.gradient(x), dtype=float)
+        trajectory.append(TrajectoryStep(steps, x, float(p.value(x)), _aux(grad), s.inertia,
+                                         **extra))
 
 
 def escape_minimum(p: Potential, x_min: np.ndarray, cfg: DiffusionConfig,
@@ -174,38 +241,7 @@ def escape_minimum(p: Potential, x_min: np.ndarray, cfg: DiffusionConfig,
     whose Hessian has a negative eigenvalue, or when the diffusive budget
     runs out.
     """
-    x_min = np.asarray(x_min, dtype=float)
-    s = eigendecompose(p.hessian(x_min), zero_tol)
-    if s.n_minus != 0 or s.n_zero != 0:
-        raise InertiaMismatchError(
-            f"escape_minimum needs a strict minimum, got inertia {s.inertia}")
-    mult_tol = cfg.eigenvalue_multiplicity_tol
-    v = _extremal_direction(s, "largest", noise, mult_tol)
-    x = initial_kick(x_min, v, cfg.alpha, noise)
-    steps = 1
-    grad = np.asarray(p.gradient(x), dtype=float)
-    trajectory = [TrajectoryStep(1, x, float(p.value(x)), 0.5 * float(grad @ grad), s.inertia)]
-
-    while True:
-        hess = p.hessian(x)
-        s = eigendecompose(hess, zero_tol)
-        # the trajectory entry was appended before its inertia was known
-        trajectory[-1].inertia = s.inertia
-        if s.n_minus != 0:
-            return EscapeResult(x, steps, ESCAPED, trajectory)
-        if steps >= cfg.max_diffusive_steps:
-            return EscapeResult(x, steps, BUDGET_EXHAUSTED, trajectory)
-
-        aux_cur = trajectory[-1].aux_value
-        direction = newton_solve(hess, grad)
-        x_hat, h = _find_predictor_step(
-            p, x, direction, lambda cand: _aux(p, cand) < aux_cur)
-        x = x_hat + cfg.alpha * math.sqrt(h) * colored_noise(s, "largest", noise, mult_tol)
-        steps += 1
-        grad = np.asarray(p.gradient(x), dtype=float)
-        trajectory.append(TrajectoryStep(
-            steps, x, float(p.value(x)), 0.5 * float(grad @ grad), s.inertia,
-            predictor=x_hat, step_size=h, predictor_aux=_aux(p, x_hat)))
+    return _escape(p, x_min, cfg, noise, zero_tol, from_minimum=True)
 
 
 def escape_saddle(p: Potential, x_sad: np.ndarray, cfg: DiffusionConfig,
@@ -223,60 +259,4 @@ def escape_saddle(p: Potential, x_sad: np.ndarray, cfg: DiffusionConfig,
     every descent step and the predictor line search underflows.  The
     paper's abstract does not settle which reading was meant.
     """
-    x_sad = np.asarray(x_sad, dtype=float)
-    s = eigendecompose(p.hessian(x_sad), zero_tol)
-    if s.n_minus == 0 and s.n_zero == 0:
-        raise InertiaMismatchError(
-            f"escape_saddle cannot start from a strict minimum, inertia {s.inertia}")
-    mult_tol = cfg.eigenvalue_multiplicity_tol
-    n = x_sad.size
-    v = _extremal_direction(s, "smallest", noise, mult_tol)
-    x = initial_kick(x_sad, v, cfg.alpha, noise)
-    steps = 1
-    grad = np.asarray(p.gradient(x), dtype=float)
-    trajectory = [TrajectoryStep(1, x, float(p.value(x)), 0.5 * float(grad @ grad), s.inertia)]
-
-    while True:
-        hess = p.hessian(x)
-        s = eigendecompose(hess, zero_tol)
-        # the trajectory entry was appended before its inertia was known
-        trajectory[-1].inertia = s.inertia
-        if s.n_minus == 0:
-            return EscapeResult(x, steps, ESCAPED, trajectory)
-        if steps >= cfg.max_diffusive_steps:
-            return EscapeResult(x, steps, BUDGET_EXHAUSTED, trajectory)
-
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm == 0.0:
-            # Landed exactly on a critical point: only the noise can move us.
-            x = initial_kick(x, _extremal_direction(s, "smallest", noise, mult_tol),
-                             cfg.alpha, noise)
-            steps += 1
-            grad = np.asarray(p.gradient(x), dtype=float)
-            trajectory.append(TrajectoryStep(steps, x, float(p.value(x)),
-                                             0.5 * float(grad @ grad), s.inertia))
-            continue
-
-        g_cur = trajectory[-1].value
-        aux_cur = 0.5 * grad_norm ** 2
-        meaningful = (s.n_plus >= 1
-                      and float(np.linalg.norm(s.positive_vectors.T @ grad)) / grad_norm
-                      > alignment_threshold(n))
-        if meaningful:
-            direction = positive_part_pseudoinverse(s) @ grad
-
-            def accepts(cand):
-                return float(p.value(cand)) < g_cur and _aux(p, cand) < aux_cur
-        else:
-            direction = grad
-
-            def accepts(cand):
-                return float(p.value(cand)) < g_cur
-
-        x_hat, h = _find_predictor_step(p, x, direction, accepts)
-        x = x_hat + cfg.alpha * math.sqrt(h) * colored_noise(s, "smallest", noise, mult_tol)
-        steps += 1
-        grad = np.asarray(p.gradient(x), dtype=float)
-        trajectory.append(TrajectoryStep(
-            steps, x, float(p.value(x)), 0.5 * float(grad @ grad), s.inertia,
-            predictor=x_hat, step_size=h, predictor_aux=_aux(p, x_hat)))
+    return _escape(p, x_sad, cfg, noise, zero_tol, from_minimum=False)

@@ -87,7 +87,8 @@ def classify(p: Potential, x: np.ndarray, zero_tol: float | None = None,
              grad_tol: float = 1e-5) -> CriticalPoint:
     """Classify a (near-)critical point by the inertia of its Hessian.
 
-    Rejects points whose gradient norm exceeds ``grad_tol``.
+    Rejects points whose gradient norm exceeds ``grad_tol``; with
+    ``grad_tol=math.inf`` it describes any point, as the baselines use it.
     """
     x = np.asarray(x, dtype=float)
     grad_norm = float(np.linalg.norm(p.gradient(x)))
@@ -323,18 +324,16 @@ class _Explorer:
         stats.source = KIND_MINIMUM if from_minimum else KIND_SADDLE
         stats.episodes.append("minimum->saddle_search" if from_minimum
                               else "saddle->minimize")
+        escape, search = ((escape_minimum, saddle_search) if from_minimum
+                          else (escape_saddle, minimize))
         t0 = time.perf_counter()
         try:
-            if from_minimum:
-                esc = escape_minimum(self.p, entry.location, self.cfg.diffusion,
-                                     self.noise, self.cfg.zero_tolerance)
-            else:
-                esc = escape_saddle(self.p, entry.location, self.cfg.diffusion,
-                                    self.noise, self.cfg.zero_tolerance)
+            esc = escape(self.p, entry.location, self.cfg.diffusion, self.noise,
+                         self.cfg.zero_tolerance)
         except (StepUnderflowError, EvaluationError, InertiaMismatchError):
-            stats.escape_seconds += time.perf_counter() - t0
             return None
-        stats.escape_seconds += time.perf_counter() - t0
+        finally:
+            stats.escape_seconds += time.perf_counter() - t0
         stats.diffusive_step_counts.append(esc.steps)
         stats.escape_outcome = esc.outcome
 
@@ -342,12 +341,8 @@ class _Explorer:
         # and record whatever critical point results.
         t0 = time.perf_counter()
         try:
-            if from_minimum:
-                result = saddle_search(self.p, esc.point, self.cfg.tolerances,
-                                       zero_tol=self.cfg.zero_tolerance)
-            else:
-                result = minimize(self.p, esc.point, self.cfg.tolerances,
-                                  zero_tol=self.cfg.zero_tolerance)
+            result = search(self.p, esc.point, self.cfg.tolerances,
+                            zero_tol=self.cfg.zero_tolerance)
             stats.search_iteration_counts.append(result.iterations)
             if result.outcome != CONVERGED:
                 return None

@@ -19,13 +19,12 @@ from .explorer import (
     CriticalPointTable,
     ExplorationConfig,
     RunReport,
+    classify,
     default_dedup_radius,
     explore,
-    kind_from_inertia,
 )
 from .local_search import CONVERGED, Tolerances, gradient_descent
 from .potentials import EvaluationError, Potential, get_potential
-from .spectral import eigendecompose
 
 METHODS = ("ddcid", "id_white", "mc_descent", "sim_anneal")
 
@@ -36,8 +35,6 @@ class BenchmarkSpec:
     config: ExplorationConfig = field(default_factory=ExplorationConfig)
     repetitions: int = 1
     method: str = "ddcid"
-    output: str | None = None
-    fmt: str = "json"
     target_value: float | None = None    # optional known global value
     target_tol: float = 1e-3
     mc_starts: int = 20                  # Monte-Carlo baseline starts per rep
@@ -48,8 +45,6 @@ class BenchmarkSpec:
             raise ValueError("repetitions must be >= 1")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError("format must be json or csv")
 
 
 @dataclass
@@ -109,17 +104,6 @@ def simulated_annealing(p: Potential, cfg: AnnealConfig,
     return AnnealResult(best_x, best_g, budget, accepted)
 
 
-def describe_point(p: Potential, x: np.ndarray,
-                   zero_tol: float | None = None, occurrences: int = 1) -> CriticalPoint:
-    """CriticalPoint-shaped record for an arbitrary point (no criticality
-    gate); baselines use it to tabulate their outputs."""
-    x = np.asarray(x, dtype=float)
-    s = eigendecompose(p.hessian(x), zero_tol)
-    return CriticalPoint(x.copy(), float(p.value(x)),
-                         float(np.linalg.norm(p.gradient(x))), s.inertia,
-                         kind_from_inertia(s.inertia), occurrences)
-
-
 def monte_carlo_descent(p: Potential, starts: int, tol: Tolerances,
                         noise: NoiseSource,
                         dedup_radius: float | None = None) -> list[CriticalPoint]:
@@ -133,7 +117,7 @@ def monte_carlo_descent(p: Potential, starts: int, tol: Tolerances,
             result = gradient_descent(p, x0, tol)
             if result.outcome != CONVERGED:
                 continue
-            table.record(describe_point(p, result.final_point))
+            table.record(classify(p, result.final_point, grad_tol=math.inf))
         except EvaluationError:
             continue
     return table.entries
@@ -152,7 +136,7 @@ def white_noise_intermittent_descent(p: Potential, cycles: int, noise: NoiseSour
         try:
             result = gradient_descent(p, x, tol)
             if result.outcome == CONVERGED:
-                table.record(describe_point(p, result.final_point))
+                table.record(classify(p, result.final_point, grad_tol=math.inf))
                 x = result.final_point
             for _ in range(burst_steps):
                 x = white_noise_id_step(p, x, burst_h, sigma, noise)
@@ -165,8 +149,8 @@ def white_noise_intermittent_descent(p: Potential, cycles: int, noise: NoiseSour
 class BenchmarkReport:
     spec: BenchmarkSpec
     dimension: int
+    table: CriticalPointTable
     reps: list[dict] = field(default_factory=list)
-    table: CriticalPointTable | None = None
     runs: list[RunReport] = field(default_factory=list)
     total_seconds: float = 0.0
 
@@ -175,8 +159,8 @@ class BenchmarkReport:
         best = min(best_values, default=None)
         out = {
             "best_value": best,
-            "distinct_points": len(self.table) if self.table is not None else 0,
-            "distinct_minima": len(self.table.minima()) if self.table is not None else 0,
+            "distinct_points": len(self.table),
+            "distinct_minima": len(self.table.minima()),
         }
         if self.spec.target_value is not None:
             out["target_value"] = self.spec.target_value
@@ -196,7 +180,7 @@ class BenchmarkReport:
             "spec": spec_d,
             "dimension": self.dimension,
             "reps": self.reps,
-            "table": [e.as_dict() for e in self.table.entries] if self.table is not None else [],
+            "table": [e.as_dict() for e in self.table.entries],
             "aggregate": self.aggregate(),
             "runs": [r.canonical_dict(include_timing) for r in self.runs],
         }
@@ -218,7 +202,7 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkReport:
     radius = (spec.config.dedup_radius if spec.config.dedup_radius is not None
               else default_dedup_radius(region))
     merged = CriticalPointTable(radius)
-    report = BenchmarkReport(spec, p.dimension, table=merged)
+    report = BenchmarkReport(spec, p.dimension, merged)
 
     for rep in range(spec.repetitions):
         seed = spec.config.seed + rep
@@ -249,7 +233,7 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkReport:
         else:   # sim_anneal
             anneal = spec.anneal if spec.anneal is not None else AnnealConfig()
             result = simulated_annealing(p, anneal, NoiseSource(seed))
-            merged.record(describe_point(p, result.point))
+            merged.record(classify(p, result.point, grad_tol=math.inf))
             rep_entry["best_value"] = result.value
             rep_entry["accepted_moves"] = result.accepted_moves
         report.reps.append(rep_entry)
@@ -305,13 +289,7 @@ def emit_report(report: BenchmarkReport | RunReport, fmt: str, path: str) -> str
             fh.write(report.to_json())
             fh.write("\n")
     elif fmt == "csv":
-        if isinstance(report, RunReport):
-            entries = report.table.entries
-            dim = report.dimension
-        else:
-            entries = report.table.entries if report.table is not None else []
-            dim = report.dimension
-        write_table_csv(entries, dim, path)
+        write_table_csv(report.table.entries, report.dimension, path)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     return path

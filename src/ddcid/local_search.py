@@ -154,17 +154,41 @@ def double_descent_direction(grad: np.ndarray, s: SpectralInfo) -> np.ndarray:
     return -positive_part_pseudoinverse(s) @ grad
 
 
-class _Search:
-    """Shared state for the damped direction-based searches."""
+def _damped_step(ctrl: StepController, attempt):
+    """The damped line search every search and escape uses.
 
-    def __init__(self, p: Potential, x0: np.ndarray, tol: Tolerances,
+    Calls ``attempt(h)`` at the controller's current step h and halves h
+    after each rejection, until ``attempt`` returns a candidate.  An attempt
+    rejects by returning None or by raising EvaluationError.  Returns
+    ``(h, candidate)``, or None when a rejection comes at the lower step
+    bound.  Growing the step after an accepted one is left to the caller.
+    """
+    while True:
+        h = ctrl.current_step
+        try:
+            candidate = attempt(h)
+        except EvaluationError:
+            candidate = None
+        if candidate is not None:
+            return h, candidate
+        if ctrl.at_min:
+            return None
+        ctrl.reject()
+
+
+class _Search:
+    """Shared state and iteration of the damped direction-based searches."""
+
+    def __init__(self, p: Potential, x0: np.ndarray, tol: Tolerances | None,
                  ctrl: StepController | None, zero_tol: float | None):
         self.p = p
-        self.tol = tol
+        self.tol = tol if tol is not None else Tolerances()
         self.ctrl = ctrl if ctrl is not None else StepController()
         self.zero_tol = zero_tol
         self.x = np.array(x0, dtype=float)
         self.grad = np.asarray(p.gradient(self.x), dtype=float)
+        if not np.isfinite(self.grad).all():
+            raise EvaluationError("non-finite gradient at the starting point")
         self.value = float(p.value(self.x))
         self.x0 = self.x.copy()
         self.grad0 = self.grad.copy()
@@ -193,33 +217,44 @@ class _Search:
     def spectral(self) -> SpectralInfo:
         return eigendecompose(self.p.hessian(self.x), self.zero_tol)
 
-    def try_step(self, h: float, v: np.ndarray, accept):
-        """Evaluate x + h v; return (point, value, gradient) or None.
+    def try_step(self, direction_name: str, h: float, v: np.ndarray, accept):
+        """Evaluate x + h v; return the step to commit, or None.
 
         ``accept(h, g_new, grad_new)`` is called once with grad_new=None
         (value-only tests) and, if that passes, once with the gradient.
         """
         candidate = self.x + h * v
-        try:
-            g_new = float(self.p.value(candidate))
-            if not math.isfinite(g_new) or not accept(h, g_new, None):
-                return None
-            grad_new = np.asarray(self.p.gradient(candidate), dtype=float)
-            if not np.all(np.isfinite(grad_new)) or not accept(h, g_new, grad_new):
-                return None
-        except EvaluationError:
+        g_new = float(self.p.value(candidate))
+        if not math.isfinite(g_new) or not accept(h, g_new, None):
             return None
-        return candidate, g_new, grad_new
+        grad_new = np.asarray(self.p.gradient(candidate), dtype=float)
+        if not np.all(np.isfinite(grad_new)) or not accept(h, g_new, grad_new):
+            return None
+        return direction_name, v, candidate, g_new, grad_new
 
-    def commit(self, direction_name: str, h: float, v: np.ndarray, step) -> None:
-        candidate, g_new, grad_new = step
-        prev = self.x
-        self.x, self.value, self.grad = candidate, g_new, grad_new
-        self.ctrl.accept()
-        self.direction_log.append(direction_name)
-        self.history.append(StepInfo(
-            direction=direction_name, step_size=h, point=candidate,
-            previous_point=prev, step_vector=v, value=g_new, aux_value=self.aux))
+    def run(self, next_attempt) -> LocalSearchResult:
+        """Iterate to convergence.  Each iteration line-searches the attempt
+        ``next_attempt()`` builds at the current point (None when no
+        direction exists, which ends the search as a step underflow) and
+        commits the accepted step."""
+        if self.done(None):
+            return self.result(CONVERGED)
+        for _ in range(self.tol.max_iterations):
+            attempt = next_attempt()
+            found = _damped_step(self.ctrl, attempt) if attempt is not None else None
+            if found is None:
+                return self.result(STEP_UNDERFLOW)
+            h, (direction_name, v, candidate, g_new, grad_new) = found
+            prev = self.x
+            self.x, self.value, self.grad = candidate, g_new, grad_new
+            self.ctrl.accept()
+            self.direction_log.append(direction_name)
+            self.history.append(StepInfo(
+                direction=direction_name, step_size=h, point=candidate,
+                previous_point=prev, step_vector=v, value=g_new, aux_value=self.aux))
+            if self.done(prev):
+                return self.result(CONVERGED)
+        return self.result(BUDGET_EXHAUSTED)
 
 
 def minimize(p: Potential, x0: np.ndarray, tol: Tolerances | None = None,
@@ -233,16 +268,14 @@ def minimize(p: Potential, x0: np.ndarray, tol: Tolerances | None = None,
     search takes normalized gradient steps (with only the g condition) for
     GRADIENT_FALLBACK_STEPS accepted iterations before retrying.
     """
-    tol = tol if tol is not None else Tolerances()
     st = _Search(p, x0, tol, ctrl, zero_tol)
-    if st.done(None):
-        return st.result(CONVERGED)
-
     fallback_remaining = 0
-    for _ in range(tol.max_iterations):
+
+    def next_attempt():
+        nonlocal fallback_remaining
         grad_norm = float(np.linalg.norm(st.grad))
-        mode = DIRECTION_GRADIENT
-        v = -st.grad / grad_norm
+        gradient_v = -st.grad / grad_norm
+        mode, v = DIRECTION_GRADIENT, gradient_v
         slope = grad_norm                      # |v . grad| for the unit gradient step
         if fallback_remaining == 0:
             try:
@@ -251,8 +284,8 @@ def minimize(p: Potential, x0: np.ndarray, tol: Tolerances | None = None,
                 slope = abs(float(v @ st.grad))
             except (NoPositiveSubspaceError, MisalignedGradientError, EvaluationError):
                 fallback_remaining = GRADIENT_FALLBACK_STEPS
-
         g_cur, aux_cur = st.value, st.aux
+        tries = 0
 
         def accept(h, g_new, grad_new):
             if g_new > g_cur - SUFFICIENT_DECREASE * h * slope:
@@ -261,30 +294,21 @@ def minimize(p: Potential, x0: np.ndarray, tol: Tolerances | None = None,
                 return True
             return 0.5 * float(grad_new @ grad_new) < aux_cur
 
-        halvings = 0
-        while True:
-            h = st.ctrl.current_step
-            step = st.try_step(h, v, accept)
-            if step is not None:
-                break
-            if st.ctrl.at_min:
-                return st.result(STEP_UNDERFLOW)
-            st.ctrl.reject()
-            halvings += 1
-            if mode == DIRECTION_DOUBLE_DESCENT and halvings >= DAMPING_RETRY_BUDGET:
+        def attempt(h):
+            nonlocal mode, v, slope, tries, fallback_remaining
+            if mode == DIRECTION_DOUBLE_DESCENT and tries == DAMPING_RETRY_BUDGET:
                 # Too much damping: revert to gradient descent for a while.
-                mode = DIRECTION_GRADIENT
-                v = -st.grad / grad_norm
-                slope = grad_norm
+                mode, v, slope = DIRECTION_GRADIENT, gradient_v, grad_norm
                 fallback_remaining = GRADIENT_FALLBACK_STEPS
+            tries += 1
+            step = st.try_step(mode, h, v, accept)
+            if step is not None and mode == DIRECTION_GRADIENT and fallback_remaining > 0:
+                fallback_remaining -= 1
+            return step
 
-        prev = st.x
-        st.commit(mode, h, v, step)
-        if mode == DIRECTION_GRADIENT and fallback_remaining > 0:
-            fallback_remaining -= 1
-        if st.done(prev):
-            return st.result(CONVERGED)
-    return st.result(BUDGET_EXHAUSTED)
+        return attempt
+
+    return st.run(next_attempt)
 
 
 def saddle_search(p: Potential, x0: np.ndarray, tol: Tolerances | None = None,
@@ -293,52 +317,33 @@ def saddle_search(p: Potential, x0: np.ndarray, tol: Tolerances | None = None,
     """Damped Newton iteration on grad g = 0, accepting steps that strictly
     decrease the auxiliary potential G.  Converges to a critical point of
     any index (saddle, maximum, or back to a minimum)."""
-    tol = tol if tol is not None else Tolerances()
     st = _Search(p, x0, tol, ctrl, zero_tol)
-    if st.done(None):
-        return st.result(CONVERGED)
 
-    for _ in range(tol.max_iterations):
+    def next_attempt():
         try:
             v = -newton_solve(p.hessian(st.x), st.grad)
         except EvaluationError:
-            return st.result(STEP_UNDERFLOW)
+            return None
         if not np.any(v):
             # Gradient entirely outside range(H): no Newton direction exists.
-            return st.result(STEP_UNDERFLOW)
+            return None
         aux_cur = st.aux
 
         def accept(h, g_new, grad_new):
-            if grad_new is None:
-                return True
-            return 0.5 * float(grad_new @ grad_new) < aux_cur
+            return grad_new is None or 0.5 * float(grad_new @ grad_new) < aux_cur
 
-        while True:
-            h = st.ctrl.current_step
-            step = st.try_step(h, v, accept)
-            if step is not None:
-                break
-            if st.ctrl.at_min:
-                return st.result(STEP_UNDERFLOW)
-            st.ctrl.reject()
+        return lambda h: st.try_step(DIRECTION_NEWTON, h, v, accept)
 
-        prev = st.x
-        st.commit(DIRECTION_NEWTON, h, v, step)
-        if st.done(prev):
-            return st.result(CONVERGED)
-    return st.result(BUDGET_EXHAUSTED)
+    return st.run(next_attempt)
 
 
 def gradient_descent(p: Potential, x0: np.ndarray, tol: Tolerances | None = None,
                      ctrl: StepController | None = None) -> LocalSearchResult:
     """Plain normalized gradient descent with the shared step policy; the
     local engine of the Monte-Carlo baseline."""
-    tol = tol if tol is not None else Tolerances()
     st = _Search(p, x0, tol, ctrl, None)
-    if st.done(None):
-        return st.result(CONVERGED)
 
-    for _ in range(tol.max_iterations):
+    def next_attempt():
         grad_norm = float(np.linalg.norm(st.grad))
         v = -st.grad / grad_norm
         g_cur = st.value
@@ -346,17 +351,6 @@ def gradient_descent(p: Potential, x0: np.ndarray, tol: Tolerances | None = None
         def accept(h, g_new, grad_new):
             return g_new <= g_cur - SUFFICIENT_DECREASE * h * grad_norm
 
-        while True:
-            h = st.ctrl.current_step
-            step = st.try_step(h, v, accept)
-            if step is not None:
-                break
-            if st.ctrl.at_min:
-                return st.result(STEP_UNDERFLOW)
-            st.ctrl.reject()
+        return lambda h: st.try_step(DIRECTION_GRADIENT, h, v, accept)
 
-        prev = st.x
-        st.commit(DIRECTION_GRADIENT, h, v, step)
-        if st.done(prev):
-            return st.result(CONVERGED)
-    return st.result(BUDGET_EXHAUSTED)
+    return st.run(next_attempt)

@@ -39,26 +39,6 @@ class Potential:
         if self.search_region.shape != (self.dimension, 2):
             raise ValueError("search_region must have shape (dimension, 2)")
 
-    def region_diameter(self) -> float:
-        return float(np.linalg.norm(self.search_region[:, 1] - self.search_region[:, 0]))
-
-
-class AuxiliaryPotential:
-    """G(x) = 0.5 * ||grad g(x)||^2, with grad G = H(x) grad g(x).
-
-    Nonnegative everywhere and zero exactly at critical points of g.
-    """
-
-    def __init__(self, base: Potential):
-        self.base = base
-
-    def value(self, x: np.ndarray) -> float:
-        g = self.base.gradient(x)
-        return 0.5 * float(g @ g)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.base.hessian(x) @ self.base.gradient(x)
-
 
 def fd_hessian(source: "Potential | Callable[[np.ndarray], np.ndarray]",
                x: np.ndarray, step: float | None = None,

@@ -3,10 +3,13 @@ positive-part pseudoinverses and pivoted-QR Newton solves."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+
+from .potentials import EvaluationError
 
 
 class NotSymmetricError(ValueError):
@@ -68,19 +71,18 @@ class SpectralInfo:
     def positive_eigenvalues(self) -> np.ndarray:
         return self.eigenvalues[: self.n_plus]
 
-    def largest(self) -> tuple[float, np.ndarray]:
-        return float(self.eigenvalues[0]), self.eigenvectors[:, 0]
-
-    def smallest(self) -> tuple[float, np.ndarray]:
-        return float(self.eigenvalues[-1]), self.eigenvectors[:, -1]
-
 
 def _require_symmetric(H: np.ndarray) -> np.ndarray:
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise NotSymmetricError(f"expected a square matrix, got shape {H.shape}")
+    # NaN would pass the comparisons below and yield a meaningless inertia.
+    # EvaluationError is handled as a failed evaluation of the potential.
+    scale = float(np.max(np.abs(H))) if H.size else 0.0
+    if not math.isfinite(scale):
+        raise EvaluationError("matrix has non-finite entries")
     asym = np.max(np.abs(H - H.T)) if H.size else 0.0
-    tol = np.sqrt(np.finfo(float).eps) * max(1.0, float(np.max(np.abs(H))) if H.size else 0.0)
+    tol = np.sqrt(np.finfo(float).eps) * max(1.0, scale)
     if asym > tol:
         raise NotSymmetricError(f"matrix asymmetry {asym:.3e} exceeds tolerance {tol:.3e}")
     return 0.5 * (H + H.T)
@@ -98,7 +100,8 @@ def eigendecompose(H: np.ndarray, zero_tol: float | None = None) -> SpectralInfo
     """Symmetric eigendecomposition with eigenvalues sorted descending.
 
     Eigenvalues with |lam| <= zero_tol are classified as zero when computing
-    the inertia.  Rejects matrices that are not symmetric within tolerance.
+    the inertia.  Rejects matrices that are not symmetric within tolerance,
+    and raises EvaluationError on NaN or infinite entries.
     """
     sym = _require_symmetric(H)
     w, v = np.linalg.eigh(sym)
@@ -129,10 +132,13 @@ def newton_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve H v = rhs via QR with column pivoting.
 
     A rank-deficient H (trailing ~zero diagonal of R) yields the minimum-norm
-    solution of the consistent part of the system.
+    solution of the consistent part of the system.  Non-finite input raises
+    EvaluationError.
     """
     H = np.asarray(H, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
+    if not (np.isfinite(H).all() and np.isfinite(rhs).all()):
+        raise EvaluationError("matrix or right-hand side has non-finite entries")
     n = H.shape[0]
     q, r, perm = scipy.linalg.qr(H, pivoting=True)
     diag = np.abs(np.diag(r))
@@ -148,16 +154,6 @@ def newton_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     out = np.empty(n)
     out[perm] = z
     return out
-
-
-def extremal_eigenpairs(H: np.ndarray) -> tuple[tuple[float, np.ndarray], tuple[float, np.ndarray]]:
-    """Largest and smallest eigenpairs, consistent with eigendecompose.
-
-    Kept as a separate entry point so an iterative backend can replace the
-    dense decomposition without touching callers.
-    """
-    s = eigendecompose(H)
-    return s.largest(), s.smallest()
 
 
 def alignment_ratio(s: SpectralInfo, grad: np.ndarray) -> float:

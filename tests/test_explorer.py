@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,6 +33,19 @@ MOLEI_POINTS = {
     "min-": np.array([-1.0, 0.0]),
     "saddle": np.array([0.0, 1.0]),
 }
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_child(code, timeout=120, **env):
+    """Run ``code`` in a fresh interpreter that imports ddcid from src/;
+    returns its standard output.  A child still running after ``timeout``
+    seconds is killed and fails the test."""
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=timeout, check=True).stdout
 
 
 def found(table, target, tol=1e-4):
@@ -184,6 +203,40 @@ def test_explore_deterministic_given_seed():
     a = explore(make_camel(), cfg)
     b = explore(make_camel(), cfg)
     assert a.to_json(include_timing=False) == b.to_json(include_timing=False)
+
+
+def test_explore_byte_identical_across_hash_seeds():
+    code = ("from ddcid import ExplorationConfig, explore, make_camel\n"
+            "print(explore(make_camel(), ExplorationConfig(max_critical_points=6, seed=3))"
+            ".to_json(include_timing=False))")
+    a = run_child(code, PYTHONHASHSEED="1")
+    b = run_child(code, PYTHONHASHSEED="2")
+    assert json.loads(a)["table"]
+    assert a == b
+
+
+def test_explore_survives_non_finite_hessians():
+    # molei whose Hessian is NaN on the right of x = 0.5.  Classified as if
+    # valid, such a point got inertia (0, 2, 0), and the escape from it
+    # looped forever drawing a direction in an empty eigenspace; hence the
+    # run in a child with a time limit.
+    code = """
+import json, math
+from ddcid import ExplorationConfig, Potential, explore, make_molei
+base = make_molei()
+
+def hessian(x):
+    return base.hessian(x) * (math.nan if x[0] > 0.5 else 1.0)
+
+p = Potential(2, base.value, base.gradient, hessian, base.search_region, name="molei-nan")
+print(explore(p, ExplorationConfig(max_critical_points=4, seed=0)).to_json(include_timing=False))
+"""
+    report = json.loads(run_child(code, timeout=60))
+    assert len(report["attempts"]) == 4
+    assert report["table"]
+    for entry in report["table"]:
+        assert np.isfinite(entry["value"]) and np.isfinite(entry["gradient_norm"])
+        assert sum(entry["inertia"]) == 2
 
 
 def test_explore_averages_match_raw_logs():

@@ -129,13 +129,16 @@ def test_run_benchmark_unknown_problem():
         run_benchmark(BenchmarkSpec(problem="nope"))
 
 
-def test_benchmark_spec_validation():
+def test_benchmark_spec_validation(tmp_path):
     with pytest.raises(ValueError):
         BenchmarkSpec(problem="molei", repetitions=0)
     with pytest.raises(ValueError):
         BenchmarkSpec(problem="molei", method="magic")
+    # The output format is checked where the report is written.
+    report = RunReport("molei", ExplorationConfig(), CriticalPointTable(1e-4), dimension=2)
     with pytest.raises(ValueError):
-        BenchmarkSpec(problem="molei", fmt="xml")
+        emit_report(report, "xml", str(tmp_path / "report.xml"))
+    assert not (tmp_path / "report.xml").exists()
 
 
 def test_run_benchmark_ddcid_aggregates():

@@ -12,6 +12,7 @@ from ddcid.local_search import (
     MisalignedGradientError,
     StepController,
     Tolerances,
+    _damped_step,
     alignment_threshold,
     double_descent_direction,
     gradient_descent,
@@ -80,6 +81,40 @@ def test_step_controller_exhaustive_transcripts():
         transcript = [ctrl.accept() if e else ctrl.reject() for e in events]
         assert transcript == reference(events)
         assert all(2.0 ** -26 <= h <= 2.0 ** 5 for h in transcript)
+
+
+# --- damped line search -------------------------------------------------------
+
+def _raise_evaluation_error(h):
+    raise EvaluationError("outside the domain")
+
+
+@pytest.mark.parametrize("reject", [lambda h: None, _raise_evaluation_error],
+                         ids=["returns-none", "raises"])
+def test_damped_step_halves_to_the_lower_bound_then_underflows(reject):
+    tried = []
+
+    def attempt(h):
+        tried.append(h)
+        return reject(h)
+
+    assert _damped_step(StepController(), attempt) is None
+    assert tried == [2.0 ** -k for k in range(27)]
+
+
+def test_damped_step_returns_the_first_accepted_candidate():
+    tried = []
+
+    def attempt(h):
+        tried.append(h)
+        if h > 1.0:
+            raise EvaluationError("too far")
+        return "candidate" if h < 2.0 else None
+
+    ctrl = StepController(current_step=8.0)
+    assert _damped_step(ctrl, attempt) == (1.0, "candidate")
+    assert tried == [8.0, 4.0, 2.0, 1.0]
+    assert ctrl.current_step == 1.0     # growing the step is the caller's business
 
 
 # --- stopping criterion ------------------------------------------------------
@@ -288,6 +323,14 @@ def test_minimize_step_underflow():
                   name="blocked")
     r = minimize(p, home)
     assert r.outcome == STEP_UNDERFLOW
+
+
+def test_search_rejects_non_finite_starting_gradient():
+    p = Potential(1, lambda x: 0.0, lambda x: np.array([np.nan]), lambda x: np.eye(1),
+                  np.array([[-1.0, 1.0]]), name="nan-gradient")
+    for search in (minimize, saddle_search, gradient_descent):
+        with pytest.raises(EvaluationError):
+            search(p, np.array([0.5]))
 
 
 def test_minimize_budget_exhausted():

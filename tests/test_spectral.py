@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from ddcid.potentials import make_camel
+from ddcid.potentials import EvaluationError, make_camel
 from ddcid.spectral import (
     NoPositiveSubspaceError,
     NotSymmetricError,
     ZeroGradientError,
     alignment_ratio,
     eigendecompose,
-    extremal_eigenpairs,
     newton_solve,
     positive_part_pseudoinverse,
 )
@@ -28,6 +27,16 @@ def test_diagonal_example():
     s = eigendecompose(np.diag([2.0, -1.0]))
     assert np.allclose(s.eigenvalues, [2.0, -1.0])
     assert s.inertia == (1, 0, 1)
+
+
+def test_extremal_diagonal():
+    s = eigendecompose(np.diag([3.0, 1.0, -2.0]))
+    assert s.eigenvalues[0] == pytest.approx(3.0)
+    assert s.eigenvalues[-1] == pytest.approx(-2.0)
+    v1, vn = s.eigenvectors[:, 0], s.eigenvectors[:, -1]
+    assert np.allclose(np.abs(v1), [1, 0, 0])
+    assert np.allclose(np.abs(vn), [0, 0, 1])
+    assert v1[np.nonzero(v1)[0][0]] > 0 and vn[np.nonzero(vn)[0][0]] > 0
 
 
 def test_identity_inertia():
@@ -72,6 +81,15 @@ def test_eigenvector_sign_convention():
 def test_rejects_asymmetric():
     with pytest.raises(NotSymmetricError):
         eigendecompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite(bad):
+    # NaN would otherwise pass the symmetry check and get an inertia.
+    with pytest.raises(EvaluationError):
+        eigendecompose(np.array([[1.0, bad], [bad, -1.0]]))
+    with pytest.raises(EvaluationError):
+        eigendecompose(np.diag([bad, 1.0]))
 
 
 def test_zero_tolerance_classification():
@@ -167,31 +185,16 @@ def test_newton_solve_singular_consistent_minimum_norm():
             assert np.linalg.norm(other) >= np.linalg.norm(v) - 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_newton_solve_rejects_non_finite(bad):
+    with pytest.raises(EvaluationError):
+        newton_solve(np.array([[1.0, bad], [bad, -1.0]]), np.ones(2))
+    with pytest.raises(EvaluationError):
+        newton_solve(np.eye(2), np.array([1.0, bad]))
+
+
 def test_newton_solve_zero_matrix():
     assert np.allclose(newton_solve(np.zeros((3, 3)), np.ones(3)), np.zeros(3))
-
-
-# --- extremal_eigenpairs ----------------------------------------------------
-
-def test_extremal_diagonal():
-    (lam1, v1), (lamn, vn) = extremal_eigenpairs(np.diag([3.0, 1.0, -2.0]))
-    assert lam1 == pytest.approx(3.0)
-    assert lamn == pytest.approx(-2.0)
-    assert np.allclose(np.abs(v1), [1, 0, 0])
-    assert np.allclose(np.abs(vn), [0, 0, 1])
-    assert v1[np.nonzero(v1)[0][0]] > 0 and vn[np.nonzero(vn)[0][0]] > 0
-
-
-def test_extremal_agrees_with_full_decomposition():
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        h, _ = random_symmetric(rng, int(rng.integers(2, 10)))
-        (lam1, v1), (lamn, vn) = extremal_eigenpairs(h)
-        s = eigendecompose(h)
-        assert abs(lam1 - s.eigenvalues[0]) < 1e-10
-        assert abs(lamn - s.eigenvalues[-1]) < 1e-10
-        assert np.allclose(v1, s.eigenvectors[:, 0])
-        assert np.allclose(vn, s.eigenvectors[:, -1])
 
 
 # --- alignment_ratio --------------------------------------------------------
