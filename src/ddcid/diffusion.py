@@ -8,18 +8,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .local_search import StepController, StepUnderflowError, _damped_step, alignment_threshold
-from .potentials import Potential
-from .spectral import (
-    SpectralInfo,
-    alignment_ratio,
-    eigendecompose,
-    newton_solve,
-    positive_part_pseudoinverse,
+from .local_search import (
+    MisalignedGradientError,
+    StepController,
+    StepUnderflowError,
+    _damped_step,
+    double_descent_direction,
 )
+from .potentials import Potential
+from .spectral import NoPositiveSubspaceError, SpectralInfo, eigendecompose, newton_solve
 
 ESCAPED = "escaped"
 BUDGET_EXHAUSTED = "budget_exhausted"
+# Relative gap below which extremal eigenvalues count as repeated.
+EIGENVALUE_MULTIPLICITY_TOL = 1e-8
 
 
 class InertiaMismatchError(ValueError):
@@ -52,7 +54,6 @@ class NoiseSource:
 class DiffusionConfig:
     alpha: float = 1.0                          # kick amplitude
     max_diffusive_steps: int = 50
-    eigenvalue_multiplicity_tol: float = 1e-8   # repeated-extremal-eigenvalue detection
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -85,22 +86,16 @@ class EscapeResult:
         return self.outcome == ESCAPED
 
 
-def _extremal_direction(s: SpectralInfo, which: str, noise: NoiseSource,
-                        mult_tol: float) -> np.ndarray:
+def _extremal_direction(s: SpectralInfo, which: str, noise: NoiseSource) -> np.ndarray:
     """Extremal eigenvector, or a random unit vector in the extremal
     eigenspace when the eigenvalue is (numerically) repeated."""
-    lam = s.eigenvalues
-    n = lam.size
-    if which == "largest":
-        ref = lam[0]
-        block = int(np.count_nonzero(np.abs(lam - ref) <= mult_tol * max(1.0, abs(ref))))
-        cols = s.eigenvectors[:, :block]
-    elif which == "smallest":
-        ref = lam[-1]
-        block = int(np.count_nonzero(np.abs(lam - ref) <= mult_tol * max(1.0, abs(ref))))
-        cols = s.eigenvectors[:, n - block:]
-    else:
+    if which not in ("largest", "smallest"):
         raise ValueError(f"which must be 'largest' or 'smallest', got {which!r}")
+    lam = s.eigenvalues
+    ref = lam[0] if which == "largest" else lam[-1]
+    tol = EIGENVALUE_MULTIPLICITY_TOL * max(1.0, abs(ref))
+    block = int(np.count_nonzero(np.abs(lam - ref) <= tol))
+    cols = s.eigenvectors[:, :block] if which == "largest" else s.eigenvectors[:, lam.size - block:]
     if block == 1:
         return cols[:, 0]
     coeffs = noise.normal(block)
@@ -111,11 +106,10 @@ def _extremal_direction(s: SpectralInfo, which: str, noise: NoiseSource,
     return cols @ (coeffs / norm)
 
 
-def colored_noise(s: SpectralInfo, which: str, noise: NoiseSource,
-                  mult_tol: float) -> np.ndarray:
+def colored_noise(s: SpectralInfo, which: str, noise: NoiseSource) -> np.ndarray:
     """Rank-one noise sigma W with sigma = -v v^T for the selected extremal
     eigenvector v (random in the eigenspace if the eigenvalue repeats)."""
-    v = _extremal_direction(s, which, noise, mult_tol)
+    v = _extremal_direction(s, which, noise)
     w = noise.normal(v.size)
     return -v * float(v @ w)
 
@@ -158,9 +152,10 @@ def _descent_predictor(grad: np.ndarray, hess: np.ndarray, s: SpectralInfo,
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm == 0.0:
         return None
-    if alignment_ratio(s, grad) > alignment_threshold(grad.size):
-        return positive_part_pseudoinverse(s) @ grad, last.value, 0.5 * grad_norm ** 2
-    return grad, last.value, None
+    try:
+        return -double_descent_direction(grad, s), last.value, 0.5 * grad_norm ** 2
+    except (NoPositiveSubspaceError, MisalignedGradientError):
+        return grad, last.value, None
 
 
 def _predictor_attempt(p: Potential, x: np.ndarray, direction: np.ndarray,
@@ -180,28 +175,27 @@ def _predictor_attempt(p: Potential, x: np.ndarray, direction: np.ndarray,
 
 
 def _escape(p: Potential, x0: np.ndarray, cfg: DiffusionConfig, noise: NoiseSource,
-            zero_tol: float | None, from_minimum: bool) -> EscapeResult:
+            from_minimum: bool) -> EscapeResult:
     """The escape loop shared by both sides: kick along the extremal
     eigendirection (largest from a minimum, smallest from a saddle), then
     take damped predictor steps, each followed by rank-one noise along that
     direction, until the inertia changes or the diffusive budget runs out."""
     x0 = np.asarray(x0, dtype=float)
-    s = eigendecompose(p.hessian(x0), zero_tol)
+    s = eigendecompose(p.hessian(x0))
     if (s.n_minus == 0 and s.n_zero == 0) != from_minimum:
         raise InertiaMismatchError(
             f"escape_minimum needs a strict minimum, got inertia {s.inertia}" if from_minimum
             else f"escape_saddle cannot start from a strict minimum, inertia {s.inertia}")
     which = "largest" if from_minimum else "smallest"
     predictor = _newton_predictor if from_minimum else _descent_predictor
-    mult_tol = cfg.eigenvalue_multiplicity_tol
-    x = initial_kick(x0, _extremal_direction(s, which, noise, mult_tol), cfg.alpha, noise)
+    x = initial_kick(x0, _extremal_direction(s, which, noise), cfg.alpha, noise)
     steps = 1
     grad = np.asarray(p.gradient(x), dtype=float)
     trajectory = [TrajectoryStep(1, x, float(p.value(x)), _aux(grad), s.inertia)]
 
     while True:
         hess = p.hessian(x)
-        s = eigendecompose(hess, zero_tol)
+        s = eigendecompose(hess)
         # the trajectory entry was appended before its inertia was known
         trajectory[-1].inertia = s.inertia
         # From a minimum, stop at the first negative eigenvalue; from a
@@ -214,7 +208,7 @@ def _escape(p: Potential, x0: np.ndarray, cfg: DiffusionConfig, noise: NoiseSour
         predicted = predictor(grad, hess, s, trajectory[-1])
         if predicted is None:
             # Landed exactly on a critical point: only the noise can move us.
-            x = initial_kick(x, _extremal_direction(s, which, noise, mult_tol), cfg.alpha, noise)
+            x = initial_kick(x, _extremal_direction(s, which, noise), cfg.alpha, noise)
             extra = {}
         else:
             found = _damped_step(StepController(), _predictor_attempt(p, x, *predicted))
@@ -223,7 +217,7 @@ def _escape(p: Potential, x0: np.ndarray, cfg: DiffusionConfig, noise: NoiseSour
             h, (x_hat, grad_hat) = found
             if grad_hat is None:
                 grad_hat = np.asarray(p.gradient(x_hat), dtype=float)
-            x = x_hat + cfg.alpha * math.sqrt(h) * colored_noise(s, which, noise, mult_tol)
+            x = x_hat + cfg.alpha * math.sqrt(h) * colored_noise(s, which, noise)
             extra = dict(predictor=x_hat, step_size=h, predictor_aux=_aux(grad_hat))
         steps += 1
         grad = np.asarray(p.gradient(x), dtype=float)
@@ -232,7 +226,7 @@ def _escape(p: Potential, x0: np.ndarray, cfg: DiffusionConfig, noise: NoiseSour
 
 
 def escape_minimum(p: Potential, x_min: np.ndarray, cfg: DiffusionConfig,
-                   noise: NoiseSource, zero_tol: float | None = None) -> EscapeResult:
+                   noise: NoiseSource) -> EscapeResult:
     """Leave the basin of a strict minimum via a kick along the dominant
     eigendirection followed by diffused damped-Newton steps.
 
@@ -241,11 +235,11 @@ def escape_minimum(p: Potential, x_min: np.ndarray, cfg: DiffusionConfig,
     whose Hessian has a negative eigenvalue, or when the diffusive budget
     runs out.
     """
-    return _escape(p, x_min, cfg, noise, zero_tol, from_minimum=True)
+    return _escape(p, x_min, cfg, noise, from_minimum=True)
 
 
 def escape_saddle(p: Potential, x_sad: np.ndarray, cfg: DiffusionConfig,
-                  noise: NoiseSource, zero_tol: float | None = None) -> EscapeResult:
+                  noise: NoiseSource) -> EscapeResult:
     """Leave a saddle (or maximum) via a kick along the weakest
     eigendirection followed by diffused descent steps.
 
@@ -259,4 +253,4 @@ def escape_saddle(p: Potential, x_sad: np.ndarray, cfg: DiffusionConfig,
     every descent step and the predictor line search underflows.  The
     paper's abstract does not settle which reading was meant.
     """
-    return _escape(p, x_sad, cfg, noise, zero_tol, from_minimum=False)
+    return _escape(p, x_sad, cfg, noise, from_minimum=False)

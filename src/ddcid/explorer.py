@@ -83,8 +83,7 @@ class CriticalPoint:
                    tuple(d["inertia"]), d["kind"], d["occurrences"])
 
 
-def classify(p: Potential, x: np.ndarray, zero_tol: float | None = None,
-             grad_tol: float = 1e-5) -> CriticalPoint:
+def classify(p: Potential, x: np.ndarray, grad_tol: float = 1e-5) -> CriticalPoint:
     """Classify a (near-)critical point by the inertia of its Hessian.
 
     Rejects points whose gradient norm exceeds ``grad_tol``; with
@@ -94,7 +93,7 @@ def classify(p: Potential, x: np.ndarray, zero_tol: float | None = None,
     grad_norm = float(np.linalg.norm(p.gradient(x)))
     if grad_norm > grad_tol:
         raise NotCriticalError(f"gradient norm {grad_norm:.3e} above {grad_tol:.3e}")
-    s = eigendecompose(p.hessian(x), zero_tol)
+    s = eigendecompose(p.hessian(x))
     return CriticalPoint(x.copy(), float(p.value(x)), grad_norm, s.inertia,
                          kind_from_inertia(s.inertia))
 
@@ -146,6 +145,8 @@ def select_escape_target(table: CriticalPointTable, noise: NoiseSource) -> Criti
 
 
 def default_dedup_radius(search_region: np.ndarray) -> float:
+    """Distance within which two points are one table entry: 1e-4 times the
+    region's diameter."""
     region = np.asarray(search_region, dtype=float)
     return 1e-4 * float(np.linalg.norm(region[:, 1] - region[:, 0]))
 
@@ -157,9 +158,7 @@ class ExplorationConfig:
     diffusion: DiffusionConfig = field(default_factory=DiffusionConfig)
     seed: int = 0
     search_region: np.ndarray | None = None   # default: the potential's box
-    dedup_radius: float | None = None         # default: 1e-4 * region diameter
     max_restarts: int = 5
-    zero_tolerance: float | None = None       # eigenvalue zero classification
 
     def __post_init__(self):
         if self.max_critical_points < 1 or self.max_restarts < 0:
@@ -227,7 +226,7 @@ class RunReport:
             "recorded": recorded,
             "distinct_points": len(self.table),
             "distinct_minima": len(self.table.minima()),
-            "best_value": self.table.best_value(),
+            "best_value": self.table.best_value() if self.table.entries else None,
             "mean_diffusive_steps": self.mean_diffusive_steps(),
             "mean_search_iterations": self.mean_search_iterations(),
         }
@@ -278,8 +277,7 @@ class _Explorer:
         self.region = np.asarray(
             cfg.search_region if cfg.search_region is not None else p.search_region,
             dtype=float)
-        radius = cfg.dedup_radius if cfg.dedup_radius is not None else default_dedup_radius(self.region)
-        self.table = CriticalPointTable(radius)
+        self.table = CriticalPointTable(default_dedup_radius(self.region))
 
     def _draw_start(self) -> np.ndarray:
         for _ in range(_MAX_DRAW_TRIES):
@@ -296,26 +294,34 @@ class _Explorer:
 
     def _classify_and_record(self, result: LocalSearchResult) -> tuple[CriticalPoint, bool]:
         grad_tol = self.cfg.tolerances.gradient_threshold(result.initial_grad_norm)
-        cp = classify(self.p, result.final_point, self.cfg.zero_tolerance, grad_tol)
+        cp = classify(self.p, result.final_point, grad_tol)
         is_new = self.table.find(cp.location) is None
         return self.table.record(cp), is_new
 
-    def _fresh_search(self, stats: AttemptStats) -> tuple[CriticalPoint, bool] | None:
-        """Minimize from a random point in the region; None on failure."""
+    def _search_and_record(self, search, x0: np.ndarray,
+                           stats: AttemptStats) -> tuple[CriticalPoint, bool] | None:
+        """Run ``search`` from x0 and record the critical point it converges
+        to, with whether it is new; None on failure."""
         t0 = time.perf_counter()
-        stats.episodes.append("fresh->minimize")
         try:
-            x0 = self._draw_start()
-            result = minimize(self.p, x0, self.cfg.tolerances,
-                              zero_tol=self.cfg.zero_tolerance)
+            result = search(self.p, x0, self.cfg.tolerances)
             stats.search_iteration_counts.append(result.iterations)
             if result.outcome != CONVERGED:
                 return None
             return self._classify_and_record(result)
-        except (StepUnderflowError, EvaluationError, NotCriticalError, RuntimeError):
+        except (EvaluationError, NotCriticalError):
             return None
         finally:
             stats.search_seconds += time.perf_counter() - t0
+
+    def _fresh_search(self, stats: AttemptStats) -> tuple[CriticalPoint, bool] | None:
+        """Minimize from a random point in the region; None on failure."""
+        stats.episodes.append("fresh->minimize")
+        try:
+            x0 = self._draw_start()
+        except RuntimeError:
+            return None
+        return self._search_and_record(minimize, x0, stats)
 
     def _escape_attempt(self, entry: CriticalPoint,
                         stats: AttemptStats) -> tuple[CriticalPoint, bool] | None:
@@ -328,8 +334,7 @@ class _Explorer:
                           else (escape_saddle, minimize))
         t0 = time.perf_counter()
         try:
-            esc = escape(self.p, entry.location, self.cfg.diffusion, self.noise,
-                         self.cfg.zero_tolerance)
+            esc = escape(self.p, entry.location, self.cfg.diffusion, self.noise)
         except (StepUnderflowError, EvaluationError, InertiaMismatchError):
             return None
         finally:
@@ -339,20 +344,10 @@ class _Explorer:
 
         # Even when the diffusion budget ran out we proceed with the search
         # and record whatever critical point results.
-        t0 = time.perf_counter()
-        try:
-            result = search(self.p, esc.point, self.cfg.tolerances,
-                            zero_tol=self.cfg.zero_tolerance)
-            stats.search_iteration_counts.append(result.iterations)
-            if result.outcome != CONVERGED:
-                return None
-            recorded, is_new = self._classify_and_record(result)
-            stats.rose_above_source = bool(recorded.value > entry.value)
-            return recorded, is_new
-        except (StepUnderflowError, EvaluationError, NotCriticalError):
-            return None
-        finally:
-            stats.search_seconds += time.perf_counter() - t0
+        found = self._search_and_record(search, esc.point, stats)
+        if found is not None:
+            stats.rose_above_source = bool(found[0].value > entry.value)
+        return found
 
     def _escape_loop(self, stats: AttemptStats) -> CriticalPoint | None:
         """One budgeted attempt: escape a random entry; on failure or on

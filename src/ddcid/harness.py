@@ -9,7 +9,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -27,6 +26,12 @@ from .local_search import CONVERGED, Tolerances, gradient_descent
 from .potentials import EvaluationError, Potential, get_potential
 
 METHODS = ("ddcid", "id_white", "mc_descent", "sim_anneal")
+
+# Noisy Euler-Maruyama burst of the white-noise baseline: steps, step size h
+# and noise amplitude sigma.
+WHITE_NOISE_BURST_STEPS = 25
+WHITE_NOISE_BURST_H = 1e-2
+WHITE_NOISE_SIGMA = 1.0
 
 
 @dataclass
@@ -49,17 +54,12 @@ class BenchmarkSpec:
 
 @dataclass
 class AnnealConfig:
-    initial_temperature: float = 1.0
-    schedule: Callable[[float], float] | None = None   # iteration ratio -> T
     neighbor_scale: float = 0.5
     iteration_budget: int = 20000
 
     def temperature(self, ratio: float) -> float:
-        if self.schedule is not None:
-            t = self.schedule(ratio)
-        else:
-            t = self.initial_temperature * (1.0 - ratio)
-        return max(float(t), 1e-300)
+        """Linear cooling from T = 1 at iteration ratio 0, kept positive."""
+        return max(1.0 - ratio, 1e-300)
 
 
 @dataclass
@@ -105,12 +105,10 @@ def simulated_annealing(p: Potential, cfg: AnnealConfig,
 
 
 def monte_carlo_descent(p: Potential, starts: int, tol: Tolerances,
-                        noise: NoiseSource,
-                        dedup_radius: float | None = None) -> list[CriticalPoint]:
+                        noise: NoiseSource) -> list[CriticalPoint]:
     """Gradient descent from uniform random starts; returns the
     deduplicated minima that converged."""
-    radius = dedup_radius if dedup_radius is not None else default_dedup_radius(p.search_region)
-    table = CriticalPointTable(radius)
+    table = CriticalPointTable(default_dedup_radius(p.search_region))
     for _ in range(starts):
         x0 = noise.uniform_box(p.search_region)
         try:
@@ -124,13 +122,10 @@ def monte_carlo_descent(p: Potential, starts: int, tol: Tolerances,
 
 
 def white_noise_intermittent_descent(p: Potential, cycles: int, noise: NoiseSource,
-                                     tol: Tolerances, sigma: float = 1.0,
-                                     burst_steps: int = 25, burst_h: float = 1e-2,
-                                     dedup_radius: float | None = None) -> list[CriticalPoint]:
+                                     tol: Tolerances) -> list[CriticalPoint]:
     """White-noise baseline: alternate noisy Euler-Maruyama bursts with
     gradient descent, recording the minima reached after each burst."""
-    radius = dedup_radius if dedup_radius is not None else default_dedup_radius(p.search_region)
-    table = CriticalPointTable(radius)
+    table = CriticalPointTable(default_dedup_radius(p.search_region))
     x = noise.uniform_box(p.search_region)
     for _ in range(cycles):
         try:
@@ -138,8 +133,8 @@ def white_noise_intermittent_descent(p: Potential, cycles: int, noise: NoiseSour
             if result.outcome == CONVERGED:
                 table.record(classify(p, result.final_point, grad_tol=math.inf))
                 x = result.final_point
-            for _ in range(burst_steps):
-                x = white_noise_id_step(p, x, burst_h, sigma, noise)
+            for _ in range(WHITE_NOISE_BURST_STEPS):
+                x = white_noise_id_step(p, x, WHITE_NOISE_BURST_H, WHITE_NOISE_SIGMA, noise)
         except EvaluationError:
             x = noise.uniform_box(p.search_region)
     return table.entries
@@ -173,9 +168,6 @@ class BenchmarkReport:
     def canonical_dict(self, include_timing: bool = True) -> dict:
         spec_d = dataclasses.asdict(self.spec)
         spec_d["config"] = self.spec.config.as_dict()
-        if self.spec.anneal is not None:
-            spec_d["anneal"] = {k: v for k, v in dataclasses.asdict(self.spec.anneal).items()
-                                if k != "schedule"}
         d = {
             "spec": spec_d,
             "dimension": self.dimension,
@@ -199,9 +191,7 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkReport:
     start = time.perf_counter()
     region = (spec.config.search_region if spec.config.search_region is not None
               else p.search_region)
-    radius = (spec.config.dedup_radius if spec.config.dedup_radius is not None
-              else default_dedup_radius(region))
-    merged = CriticalPointTable(radius)
+    merged = CriticalPointTable(default_dedup_radius(region))
     report = BenchmarkReport(spec, p.dimension, merged)
 
     for rep in range(spec.repetitions):
@@ -213,19 +203,18 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkReport:
             report.runs.append(run)
             for entry in run.table.entries:
                 merged.record(dataclasses.replace(entry))
-            rep_entry["best_value"] = run.table.best_value()
             rep_entry["summary"] = run.summary()
+            rep_entry["best_value"] = rep_entry["summary"]["best_value"]
         elif spec.method == "mc_descent":
             found = monte_carlo_descent(p, spec.mc_starts, spec.config.tolerances,
-                                        NoiseSource(seed), radius)
+                                        NoiseSource(seed))
             for entry in found:
                 merged.record(dataclasses.replace(entry))
             rep_entry["best_value"] = min((e.value for e in found), default=None)
             rep_entry["minima_found"] = len(found)
         elif spec.method == "id_white":
             found = white_noise_intermittent_descent(
-                p, spec.config.max_critical_points, NoiseSource(seed),
-                spec.config.tolerances, dedup_radius=radius)
+                p, spec.config.max_critical_points, NoiseSource(seed), spec.config.tolerances)
             for entry in found:
                 merged.record(dataclasses.replace(entry))
             rep_entry["best_value"] = min((e.value for e in found), default=None)

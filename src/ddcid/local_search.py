@@ -25,6 +25,9 @@ SUFFICIENT_DECREASE = 1e-4
 DAMPING_RETRY_BUDGET = 10
 # Accepted gradient-descent steps taken before retrying double descent.
 GRADIENT_FALLBACK_STEPS = 5
+# Bounds of the step length h.
+MIN_STEP = 2.0 ** -26
+MAX_STEP = 2.0 ** 5
 
 CONVERGED = "converged"
 BUDGET_EXHAUSTED = "budget_exhausted"
@@ -50,27 +53,26 @@ def alignment_threshold(n: int) -> float:
 
 @dataclass
 class StepController:
-    """Doubling/halving step-length state machine bounded to [2^-26, 2^5]."""
+    """Doubling/halving step-length state machine bounded to
+    [MIN_STEP, MAX_STEP] = [2^-26, 2^5]."""
 
     current_step: float = 1.0
-    min_step: float = 2.0 ** -26
-    max_step: float = 2.0 ** 5
 
     def __post_init__(self):
-        if not (self.min_step <= self.current_step <= self.max_step):
-            raise ValueError("initial step outside [min_step, max_step]")
+        if not (MIN_STEP <= self.current_step <= MAX_STEP):
+            raise ValueError("initial step outside [MIN_STEP, MAX_STEP]")
 
     def accept(self) -> float:
-        self.current_step = min(2.0 * self.current_step, self.max_step)
+        self.current_step = min(2.0 * self.current_step, MAX_STEP)
         return self.current_step
 
     def reject(self) -> float:
-        self.current_step = max(0.5 * self.current_step, self.min_step)
+        self.current_step = max(0.5 * self.current_step, MIN_STEP)
         return self.current_step
 
     @property
     def at_min(self) -> bool:
-        return self.current_step <= self.min_step
+        return self.current_step <= MIN_STEP
 
 
 @dataclass
@@ -110,7 +112,6 @@ class LocalSearchResult:
     final_point: np.ndarray
     iterations: int
     outcome: str
-    direction_log: list[str] = field(default_factory=list)
     history: list[StepInfo] = field(default_factory=list)
     final_value: float = math.nan
     final_grad_norm: float = math.nan
@@ -179,12 +180,10 @@ def _damped_step(ctrl: StepController, attempt):
 class _Search:
     """Shared state and iteration of the damped direction-based searches."""
 
-    def __init__(self, p: Potential, x0: np.ndarray, tol: Tolerances | None,
-                 ctrl: StepController | None, zero_tol: float | None):
+    def __init__(self, p: Potential, x0: np.ndarray, tol: Tolerances | None):
         self.p = p
         self.tol = tol if tol is not None else Tolerances()
-        self.ctrl = ctrl if ctrl is not None else StepController()
-        self.zero_tol = zero_tol
+        self.ctrl = StepController()
         self.x = np.array(x0, dtype=float)
         self.grad = np.asarray(p.gradient(self.x), dtype=float)
         if not np.isfinite(self.grad).all():
@@ -193,7 +192,6 @@ class _Search:
         self.x0 = self.x.copy()
         self.grad0 = self.grad.copy()
         self.history: list[StepInfo] = []
-        self.direction_log: list[str] = []
 
     @property
     def aux(self) -> float:
@@ -207,7 +205,6 @@ class _Search:
             final_point=self.x,
             iterations=len(self.history),
             outcome=outcome,
-            direction_log=self.direction_log,
             history=self.history,
             final_value=self.value,
             final_grad_norm=float(np.linalg.norm(self.grad)),
@@ -215,7 +212,7 @@ class _Search:
         )
 
     def spectral(self) -> SpectralInfo:
-        return eigendecompose(self.p.hessian(self.x), self.zero_tol)
+        return eigendecompose(self.p.hessian(self.x))
 
     def try_step(self, direction_name: str, h: float, v: np.ndarray, accept):
         """Evaluate x + h v; return the step to commit, or None.
@@ -248,7 +245,6 @@ class _Search:
             prev = self.x
             self.x, self.value, self.grad = candidate, g_new, grad_new
             self.ctrl.accept()
-            self.direction_log.append(direction_name)
             self.history.append(StepInfo(
                 direction=direction_name, step_size=h, point=candidate,
                 previous_point=prev, step_vector=v, value=g_new, aux_value=self.aux))
@@ -257,9 +253,7 @@ class _Search:
         return self.result(BUDGET_EXHAUSTED)
 
 
-def minimize(p: Potential, x0: np.ndarray, tol: Tolerances | None = None,
-             ctrl: StepController | None = None,
-             zero_tol: float | None = None) -> LocalSearchResult:
+def minimize(p: Potential, x0: np.ndarray, tol: Tolerances | None = None) -> LocalSearchResult:
     """Minimize g by double descent with gradient-descent fallback.
 
     Double-descent steps must appreciably decrease g (Armijo fraction) and
@@ -268,7 +262,7 @@ def minimize(p: Potential, x0: np.ndarray, tol: Tolerances | None = None,
     search takes normalized gradient steps (with only the g condition) for
     GRADIENT_FALLBACK_STEPS accepted iterations before retrying.
     """
-    st = _Search(p, x0, tol, ctrl, zero_tol)
+    st = _Search(p, x0, tol)
     fallback_remaining = 0
 
     def next_attempt():
@@ -311,13 +305,11 @@ def minimize(p: Potential, x0: np.ndarray, tol: Tolerances | None = None,
     return st.run(next_attempt)
 
 
-def saddle_search(p: Potential, x0: np.ndarray, tol: Tolerances | None = None,
-                  ctrl: StepController | None = None,
-                  zero_tol: float | None = None) -> LocalSearchResult:
+def saddle_search(p: Potential, x0: np.ndarray, tol: Tolerances | None = None) -> LocalSearchResult:
     """Damped Newton iteration on grad g = 0, accepting steps that strictly
     decrease the auxiliary potential G.  Converges to a critical point of
     any index (saddle, maximum, or back to a minimum)."""
-    st = _Search(p, x0, tol, ctrl, zero_tol)
+    st = _Search(p, x0, tol)
 
     def next_attempt():
         try:
@@ -337,11 +329,11 @@ def saddle_search(p: Potential, x0: np.ndarray, tol: Tolerances | None = None,
     return st.run(next_attempt)
 
 
-def gradient_descent(p: Potential, x0: np.ndarray, tol: Tolerances | None = None,
-                     ctrl: StepController | None = None) -> LocalSearchResult:
+def gradient_descent(p: Potential, x0: np.ndarray,
+                     tol: Tolerances | None = None) -> LocalSearchResult:
     """Plain normalized gradient descent with the shared step policy; the
     local engine of the Monte-Carlo baseline."""
-    st = _Search(p, x0, tol, ctrl, None)
+    st = _Search(p, x0, tol)
 
     def next_attempt():
         grad_norm = float(np.linalg.norm(st.grad))

@@ -40,22 +40,17 @@ class Potential:
             raise ValueError("search_region must have shape (dimension, 2)")
 
 
-def fd_hessian(source: "Potential | Callable[[np.ndarray], np.ndarray]",
-               x: np.ndarray, step: float | None = None,
+def fd_hessian(gradient: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                batch_gradient: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
-    """Forward-difference Jacobian of the gradient, symmetrized as (A + A^T)/2.
+    """Forward-difference Jacobian of ``gradient``, symmetrized as (A + A^T)/2.
 
-    ``source`` is a Potential or a bare gradient callable.  Default step is
-    sqrt(machine eps) * max(1, ||x||_inf).  ``batch_gradient``, if given,
-    maps a stack of points (m, n) to their gradients (m, n) in one call and
-    must agree with ``source`` row by row; the result is then the same.
+    The step is sqrt(machine eps) * max(1, ||x||_inf).  ``batch_gradient``,
+    if given, maps a stack of points (m, n) to their gradients (m, n) in one
+    call and must agree with ``gradient`` row by row; the result is then the
+    same.
     """
-    gradient = source.gradient if isinstance(source, Potential) else source
     x = np.asarray(x, dtype=float)
-    if step is None:
-        step = math.sqrt(np.finfo(float).eps) * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
-    if step <= 0:
-        raise ValueError("step must be positive")
+    step = math.sqrt(np.finfo(float).eps) * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
     n = x.size
     g0 = np.asarray(gradient(x), dtype=float)
     shifted = np.tile(x, (n, 1))

@@ -4,7 +4,7 @@ positive-part pseudoinverses and pivoted-QR Newton solves."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -25,22 +25,14 @@ class ZeroGradientError(ValueError):
     """Gradient is zero: the point is already critical."""
 
 
-def default_zero_tolerance(eigenvalues: np.ndarray) -> float:
-    """Threshold below which an eigenvalue counts as zero for inertia."""
-    n = eigenvalues.size
-    scale = float(np.max(np.abs(eigenvalues))) if n else 0.0
-    return n * np.finfo(float).eps * max(1.0, scale)
-
-
 @dataclass
 class SpectralInfo:
     """Eigendecomposition of a symmetric matrix with descending eigenvalues
-    and the inertia (n_plus, n_zero, n_minus) implied by ``zero_tolerance``."""
+    and its inertia (n_plus, n_zero, n_minus)."""
 
     eigenvalues: np.ndarray          # descending: lam[0] >= ... >= lam[n-1]
     eigenvectors: np.ndarray         # orthonormal columns aligned with eigenvalues
     inertia: tuple[int, int, int]
-    zero_tolerance: float = field(default=0.0)
 
     @property
     def dimension(self) -> int:
@@ -96,23 +88,23 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return np.where(leading < 0, -vectors, vectors)
 
 
-def eigendecompose(H: np.ndarray, zero_tol: float | None = None) -> SpectralInfo:
+def eigendecompose(H: np.ndarray) -> SpectralInfo:
     """Symmetric eigendecomposition with eigenvalues sorted descending.
 
-    Eigenvalues with |lam| <= zero_tol are classified as zero when computing
-    the inertia.  Rejects matrices that are not symmetric within tolerance,
-    and raises EvaluationError on NaN or infinite entries.
+    Eigenvalues with |lam| <= n eps max(1, max|lam|) count as zero in the
+    inertia.  Rejects matrices that are not symmetric within tolerance, and
+    raises EvaluationError on NaN or infinite entries.
     """
     sym = _require_symmetric(H)
     w, v = np.linalg.eigh(sym)
     eigenvalues = w[::-1].copy()
     eigenvectors = _fix_signs(v[:, ::-1].copy())
-    if zero_tol is None:
-        zero_tol = default_zero_tolerance(eigenvalues)
+    n = eigenvalues.size
+    scale = float(np.max(np.abs(eigenvalues))) if n else 0.0
+    zero_tol = n * np.finfo(float).eps * max(1.0, scale)
     n_plus = int(np.count_nonzero(eigenvalues > zero_tol))
     n_minus = int(np.count_nonzero(eigenvalues < -zero_tol))
-    n_zero = eigenvalues.size - n_plus - n_minus
-    return SpectralInfo(eigenvalues, eigenvectors, (n_plus, n_zero, n_minus), zero_tol)
+    return SpectralInfo(eigenvalues, eigenvectors, (n_plus, n - n_plus - n_minus, n_minus))
 
 
 def positive_part_pseudoinverse(s: SpectralInfo) -> np.ndarray:

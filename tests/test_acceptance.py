@@ -331,7 +331,7 @@ def test_criterion_7f_colored_noise_and_replay():
         n = int(rng.integers(2, 10))
         h, _ = random_hyperbolic(rng, n)
         s = eigendecompose(h)
-        out = colored_noise(s, "largest", NoiseSource(int(rng.integers(1 << 30))), 1e-8)
+        out = colored_noise(s, "largest", NoiseSource(int(rng.integers(1 << 30))))
         v = s.eigenvectors[:, 0]
         assert np.linalg.norm(out - v * (v @ out)) < 1e-12
 

@@ -100,10 +100,10 @@ def test_colored_noise_rank_one():
     h = np.diag([3.0, 1.0, -2.0])
     s = eigendecompose(h)
     for seed in range(20):
-        out = colored_noise(s, "largest", NoiseSource(seed), 1e-8)
+        out = colored_noise(s, "largest", NoiseSource(seed))
         residual = out - s.eigenvectors[:, 0] * (s.eigenvectors[:, 0] @ out)
         assert np.linalg.norm(residual) < 1e-12
-        out = colored_noise(s, "smallest", NoiseSource(seed), 1e-8)
+        out = colored_noise(s, "smallest", NoiseSource(seed))
         residual = out - s.eigenvectors[:, 2] * (s.eigenvectors[:, 2] @ out)
         assert np.linalg.norm(residual) < 1e-12
 
@@ -116,7 +116,7 @@ def test_colored_noise_degenerate_directions_cover_sphere():
     counts = np.zeros(8)
     trials = 10000
     for _ in range(trials):
-        out = colored_noise(s, "largest", noise, 1e-8)
+        out = colored_noise(s, "largest", noise)
         u = out / np.linalg.norm(out)
         octant = (u[0] > 0) * 4 + (u[1] > 0) * 2 + (u[2] > 0)
         counts[octant] += 1
@@ -132,7 +132,7 @@ def test_colored_noise_sign_symmetric():
     noise = NoiseSource(77)
     coeffs = []
     for _ in range(10000):
-        out = colored_noise(s, "largest", noise, 1e-8)
+        out = colored_noise(s, "largest", noise)
         coeffs.append(s.eigenvectors[:, 0] @ out)
     coeffs = np.asarray(coeffs)
     assert abs(coeffs.mean()) < 3.0 / np.sqrt(coeffs.size)

@@ -194,7 +194,7 @@ def test_explore_table_entries_are_critical():
     rep = explore(p, cfg)
     for e in rep.table.entries:
         assert np.linalg.norm(p.gradient(e.location)) < 1e-5
-        s = eigendecompose(p.hessian(e.location), cfg.zero_tolerance)
+        s = eigendecompose(p.hessian(e.location))
         assert kind_from_inertia(s.inertia) == e.kind
 
 

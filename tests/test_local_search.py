@@ -305,9 +305,9 @@ def test_minimize_gradient_fallback_runs_five_steps():
     # gradient is dominated by the negative subspace here
     r = minimize(p, start)
     assert r.outcome == CONVERGED
-    if r.direction_log and r.direction_log[0] == DIRECTION_GRADIENT:
-        head = r.direction_log[:5]
-        assert all(d == DIRECTION_GRADIENT for d in head)
+    if r.history and r.history[0].direction == DIRECTION_GRADIENT:
+        head = r.history[:5]
+        assert all(step.direction == DIRECTION_GRADIENT for step in head)
 
 
 def test_minimize_step_underflow():
@@ -358,7 +358,7 @@ def test_saddle_search_molei():
     r = saddle_search(p, np.array([0.1, 1.1]))
     assert r.outcome == CONVERGED
     assert np.linalg.norm(r.final_point - [0.0, 1.0]) < 1e-6
-    assert set(r.direction_log) == {"newton"}
+    assert {step.direction for step in r.history} == {"newton"}
 
 
 def test_saddle_search_zero_iterations_at_critical_point():
@@ -404,4 +404,4 @@ def test_gradient_descent_quadratic():
 def test_gradient_descent_uses_gradient_only():
     p = make_molei()
     r = gradient_descent(p, np.array([0.4, 0.2]), Tolerances(max_iterations=5000))
-    assert set(r.direction_log) <= {DIRECTION_GRADIENT}
+    assert {step.direction for step in r.history} <= {DIRECTION_GRADIENT}

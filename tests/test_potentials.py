@@ -311,12 +311,6 @@ def test_fd_hessian_lj3_at_minimum():
     assert np.max(np.abs(h - central)) < 1e-3 * max(1.0, np.max(np.abs(central)))
 
 
-def test_fd_hessian_accepts_potential_or_gradient():
-    p = make_molei()
-    x = np.array([0.4, -0.2])
-    assert np.array_equal(fd_hessian(p, x), fd_hessian(p.gradient, x))
-
-
 @pytest.mark.parametrize("key", ["lj:2", "lj:3", "lj:8", "morse:11:3"])
 def test_cluster_batched_evaluation_matches_pointwise(key):
     # The cluster Hessian evaluates all shifted gradients as one stack; it
@@ -330,11 +324,6 @@ def test_cluster_batched_evaluation_matches_pointwise(key):
         stack = np.vstack([x, sample_point(p, rng)])
         assert np.array_equal(coords.positions(stack),
                               np.stack([coords.positions(row) for row in stack]))
-
-
-def test_fd_hessian_rejects_bad_step():
-    with pytest.raises(ValueError):
-        fd_hessian(lambda x: x, np.zeros(2), step=0.0)
 
 
 # --- auxiliary potential ----------------------------------------------------

@@ -93,9 +93,10 @@ def test_rejects_non_finite(bad):
 
 
 def test_zero_tolerance_classification():
-    s = eigendecompose(np.diag([1.0, 1e-12, -1.0]), zero_tol=1e-10)
+    # Eigenvalues within n eps max(1, max|lam|) (here 3 eps) count as zero.
+    s = eigendecompose(np.diag([1.0, 1e-17, -1.0]))
     assert s.inertia == (1, 1, 1)
-    s = eigendecompose(np.diag([1.0, 1e-12, -1.0]), zero_tol=1e-14)
+    s = eigendecompose(np.diag([1.0, 1e-12, -1.0]))
     assert s.inertia == (2, 0, 1)
 
 
