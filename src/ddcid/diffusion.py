@@ -33,14 +33,13 @@ class NoiseSource:
     identical sequences bit-for-bit."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._gen = np.random.default_rng(self.seed)
+        self._gen = np.random.default_rng(int(seed))
 
     def normal(self, n: int) -> np.ndarray:
         return self._gen.standard_normal(n)
 
-    def uniform(self, low, high, size=None):
-        return self._gen.uniform(low, high, size=size)
+    def uniform(self, low: float, high: float) -> float:
+        return self._gen.uniform(low, high)
 
     def uniform_box(self, region: np.ndarray) -> np.ndarray:
         region = np.asarray(region, dtype=float)
@@ -81,10 +80,6 @@ class EscapeResult:
     outcome: str
     trajectory: list[TrajectoryStep] = field(default_factory=list)
 
-    @property
-    def escaped(self) -> bool:
-        return self.outcome == ESCAPED
-
 
 def _extremal_direction(s: SpectralInfo, which: str, noise: NoiseSource) -> np.ndarray:
     """Extremal eigenvector, or a random unit vector in the extremal
@@ -99,11 +94,7 @@ def _extremal_direction(s: SpectralInfo, which: str, noise: NoiseSource) -> np.n
     if block == 1:
         return cols[:, 0]
     coeffs = noise.normal(block)
-    norm = np.linalg.norm(coeffs)
-    while norm == 0.0:   # essentially impossible; retry keeps the vector unit
-        coeffs = noise.normal(block)
-        norm = np.linalg.norm(coeffs)
-    return cols @ (coeffs / norm)
+    return cols @ (coeffs / np.linalg.norm(coeffs))
 
 
 def colored_noise(s: SpectralInfo, which: str, noise: NoiseSource) -> np.ndarray:

@@ -63,10 +63,6 @@ class CriticalPoint:
     kind: str
     occurrences: int = 1
 
-    @property
-    def saddle_index(self) -> int:
-        return self.inertia[2]
-
     def as_dict(self) -> dict:
         return {
             "location": [float(v) for v in self.location],
@@ -76,11 +72,6 @@ class CriticalPoint:
             "kind": self.kind,
             "occurrences": self.occurrences,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CriticalPoint":
-        return cls(np.asarray(d["location"], dtype=float), d["value"], d["gradient_norm"],
-                   tuple(d["inertia"]), d["kind"], d["occurrences"])
 
 
 def classify(p: Potential, x: np.ndarray, grad_tol: float = 1e-5) -> CriticalPoint:
@@ -157,18 +148,11 @@ class ExplorationConfig:
     tolerances: Tolerances = field(default_factory=Tolerances)
     diffusion: DiffusionConfig = field(default_factory=DiffusionConfig)
     seed: int = 0
-    search_region: np.ndarray | None = None   # default: the potential's box
     max_restarts: int = 5
 
     def __post_init__(self):
         if self.max_critical_points < 1 or self.max_restarts < 0:
             raise ValueError("budgets must be positive")
-
-    def as_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        if self.search_region is not None:
-            d["search_region"] = np.asarray(self.search_region, dtype=float).tolist()
-        return d
 
 
 @dataclass
@@ -187,17 +171,6 @@ class AttemptStats:
     episodes: list[str] = field(default_factory=list)
     escape_seconds: float = 0.0
     search_seconds: float = 0.0
-
-    @property
-    def diffusive_steps(self) -> int:
-        return sum(self.diffusive_step_counts)
-
-    @property
-    def search_iterations(self) -> int:
-        return sum(self.search_iteration_counts)
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -235,10 +208,10 @@ class RunReport:
         d = {
             "problem": self.problem,
             "dimension": self.dimension,
-            "config": self.config.as_dict(),
+            "config": dataclasses.asdict(self.config),
             "table": [e.as_dict() for e in self.table.entries],
             "dedup_radius": self.table.dedup_radius,
-            "attempts": [a.as_dict() for a in self.attempts],
+            "attempts": [dataclasses.asdict(a) for a in self.attempts],
             "summary": self.summary(),
         }
         if include_timing:
@@ -252,36 +225,17 @@ class RunReport:
     def to_json(self, include_timing: bool = True) -> str:
         return json.dumps(self.canonical_dict(include_timing), sort_keys=True, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        d = json.loads(text)
-        cfg_d = dict(d["config"])
-        cfg_d["tolerances"] = Tolerances(**cfg_d["tolerances"])
-        cfg_d["diffusion"] = DiffusionConfig(**cfg_d["diffusion"])
-        if cfg_d.get("search_region") is not None:
-            cfg_d["search_region"] = np.asarray(cfg_d["search_region"], dtype=float)
-        config = ExplorationConfig(**cfg_d)
-        table = CriticalPointTable(d["dedup_radius"])
-        table.entries = [CriticalPoint.from_dict(e) for e in d["table"]]
-        attempts = [AttemptStats(**a) for a in d["attempts"]]
-        report = cls(d["problem"], config, table, attempts, d.get("dimension", 0))
-        report.total_seconds = d.get("timing", {}).get("total_seconds", 0.0)
-        return report
-
 
 class _Explorer:
     def __init__(self, p: Potential, cfg: ExplorationConfig):
         self.p = p
         self.cfg = cfg
         self.noise = NoiseSource(cfg.seed)
-        self.region = np.asarray(
-            cfg.search_region if cfg.search_region is not None else p.search_region,
-            dtype=float)
-        self.table = CriticalPointTable(default_dedup_radius(self.region))
+        self.table = CriticalPointTable(default_dedup_radius(p.search_region))
 
     def _draw_start(self) -> np.ndarray:
         for _ in range(_MAX_DRAW_TRIES):
-            x = self.noise.uniform_box(self.region)
+            x = self.noise.uniform_box(self.p.search_region)
             try:
                 if not np.isfinite(self.p.value(x)):
                     continue
@@ -315,7 +269,7 @@ class _Explorer:
             stats.search_seconds += time.perf_counter() - t0
 
     def _fresh_search(self, stats: AttemptStats) -> tuple[CriticalPoint, bool] | None:
-        """Minimize from a random point in the region; None on failure."""
+        """Minimize from a random point in the search box; None on failure."""
         stats.episodes.append("fresh->minimize")
         try:
             x0 = self._draw_start()

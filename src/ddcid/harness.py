@@ -50,12 +50,22 @@ class BenchmarkSpec:
             raise ValueError("repetitions must be >= 1")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
+        if self.mc_starts < 1:
+            raise ValueError("mc_starts must be >= 1")
+        if not self.target_tol >= 0:   # also rejects NaN
+            raise ValueError("target_tol must be >= 0")
 
 
 @dataclass
 class AnnealConfig:
     neighbor_scale: float = 0.5
     iteration_budget: int = 20000
+
+    def __post_init__(self):
+        if self.iteration_budget < 1:
+            raise ValueError("iteration_budget must be >= 1")
+        if not self.neighbor_scale > 0:   # also rejects NaN
+            raise ValueError("neighbor_scale must be positive")
 
     def temperature(self, ratio: float) -> float:
         """Linear cooling from T = 1 at iteration ratio 0, kept positive."""
@@ -66,7 +76,6 @@ class AnnealConfig:
 class AnnealResult:
     point: np.ndarray
     value: float
-    iterations: int
     accepted_moves: int
 
 
@@ -101,7 +110,7 @@ def simulated_annealing(p: Potential, cfg: AnnealConfig,
             accepted += 1
             if g < best_g:
                 best_x, best_g = x.copy(), g
-    return AnnealResult(best_x, best_g, budget, accepted)
+    return AnnealResult(best_x, best_g, accepted)
 
 
 def monte_carlo_descent(p: Potential, starts: int, tol: Tolerances,
@@ -166,10 +175,8 @@ class BenchmarkReport:
         return out
 
     def canonical_dict(self, include_timing: bool = True) -> dict:
-        spec_d = dataclasses.asdict(self.spec)
-        spec_d["config"] = self.spec.config.as_dict()
         d = {
-            "spec": spec_d,
+            "spec": dataclasses.asdict(self.spec),
             "dimension": self.dimension,
             "reps": self.reps,
             "table": [e.as_dict() for e in self.table.entries],
@@ -189,43 +196,34 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkReport:
     seeds and aggregate best value, distinct minima, and target hits."""
     p = get_potential(spec.problem)
     start = time.perf_counter()
-    region = (spec.config.search_region if spec.config.search_region is not None
-              else p.search_region)
-    merged = CriticalPointTable(default_dedup_radius(region))
+    merged = CriticalPointTable(default_dedup_radius(p.search_region))
     report = BenchmarkReport(spec, p.dimension, merged)
 
     for rep in range(spec.repetitions):
         seed = spec.config.seed + rep
-        rep_entry: dict = {"repetition": rep, "seed": seed}
         if spec.method == "ddcid":
-            cfg = dataclasses.replace(spec.config, seed=seed)
-            run = explore(p, cfg)
+            run = explore(p, dataclasses.replace(spec.config, seed=seed))
             report.runs.append(run)
-            for entry in run.table.entries:
-                merged.record(dataclasses.replace(entry))
-            rep_entry["summary"] = run.summary()
-            rep_entry["best_value"] = rep_entry["summary"]["best_value"]
-        elif spec.method == "mc_descent":
-            found = monte_carlo_descent(p, spec.mc_starts, spec.config.tolerances,
-                                        NoiseSource(seed))
-            for entry in found:
-                merged.record(dataclasses.replace(entry))
-            rep_entry["best_value"] = min((e.value for e in found), default=None)
-            rep_entry["minima_found"] = len(found)
-        elif spec.method == "id_white":
-            found = white_noise_intermittent_descent(
-                p, spec.config.max_critical_points, NoiseSource(seed), spec.config.tolerances)
-            for entry in found:
-                merged.record(dataclasses.replace(entry))
-            rep_entry["best_value"] = min((e.value for e in found), default=None)
-            rep_entry["minima_found"] = len(found)
-        else:   # sim_anneal
-            anneal = spec.anneal if spec.anneal is not None else AnnealConfig()
-            result = simulated_annealing(p, anneal, NoiseSource(seed))
-            merged.record(classify(p, result.point, grad_tol=math.inf))
-            rep_entry["best_value"] = result.value
-            rep_entry["accepted_moves"] = result.accepted_moves
-        report.reps.append(rep_entry)
+            entries = run.table.entries
+            summary = run.summary()
+            fields = {"summary": summary, "best_value": summary["best_value"]}
+        elif spec.method == "sim_anneal":
+            result = simulated_annealing(p, spec.anneal or AnnealConfig(), NoiseSource(seed))
+            entries = [classify(p, result.point, grad_tol=math.inf)]
+            fields = {"best_value": result.value, "accepted_moves": result.accepted_moves}
+        else:
+            if spec.method == "mc_descent":
+                entries = monte_carlo_descent(p, spec.mc_starts, spec.config.tolerances,
+                                              NoiseSource(seed))
+            else:   # id_white
+                entries = white_noise_intermittent_descent(
+                    p, spec.config.max_critical_points, NoiseSource(seed),
+                    spec.config.tolerances)
+            fields = {"best_value": min((e.value for e in entries), default=None),
+                      "minima_found": len(entries)}
+        for entry in entries:
+            merged.record(dataclasses.replace(entry))
+        report.reps.append({"repetition": rep, "seed": seed, **fields})
 
     report.total_seconds = time.perf_counter() - start
     return report

@@ -114,12 +114,7 @@ class LocalSearchResult:
     outcome: str
     history: list[StepInfo] = field(default_factory=list)
     final_value: float = math.nan
-    final_grad_norm: float = math.nan
     initial_grad_norm: float = math.nan
-
-    @property
-    def converged(self) -> bool:
-        return self.outcome == CONVERGED
 
 
 def stopping_criterion(x_k: np.ndarray, x_km1: np.ndarray | None, grad_k: np.ndarray,
@@ -207,25 +202,31 @@ class _Search:
             outcome=outcome,
             history=self.history,
             final_value=self.value,
-            final_grad_norm=float(np.linalg.norm(self.grad)),
             initial_grad_norm=float(np.linalg.norm(self.grad0)),
         )
 
     def spectral(self) -> SpectralInfo:
         return eigendecompose(self.p.hessian(self.x))
 
-    def try_step(self, direction_name: str, h: float, v: np.ndarray, accept):
+    def try_step(self, direction_name: str, h: float, v: np.ndarray,
+                 slope: float | None, lower_aux: bool):
         """Evaluate x + h v; return the step to commit, or None.
 
-        ``accept(h, g_new, grad_new)`` is called once with grad_new=None
-        (value-only tests) and, if that passes, once with the gradient.
+        The step needs finite g and grad g.  Unless ``slope`` is None, g must
+        decrease appreciably: g_new <= g - SUFFICIENT_DECREASE h slope.  With
+        ``lower_aux``, G must also strictly decrease.  The gradient is only
+        evaluated once the g test passes.
         """
         candidate = self.x + h * v
         g_new = float(self.p.value(candidate))
-        if not math.isfinite(g_new) or not accept(h, g_new, None):
+        if not math.isfinite(g_new):
+            return None
+        if slope is not None and g_new > self.value - SUFFICIENT_DECREASE * h * slope:
             return None
         grad_new = np.asarray(self.p.gradient(candidate), dtype=float)
-        if not np.all(np.isfinite(grad_new)) or not accept(h, g_new, grad_new):
+        if not np.all(np.isfinite(grad_new)):
+            return None
+        if lower_aux and not 0.5 * float(grad_new @ grad_new) < self.aux:
             return None
         return direction_name, v, candidate, g_new, grad_new
 
@@ -278,15 +279,7 @@ def minimize(p: Potential, x0: np.ndarray, tol: Tolerances | None = None) -> Loc
                 slope = abs(float(v @ st.grad))
             except (NoPositiveSubspaceError, MisalignedGradientError, EvaluationError):
                 fallback_remaining = GRADIENT_FALLBACK_STEPS
-        g_cur, aux_cur = st.value, st.aux
         tries = 0
-
-        def accept(h, g_new, grad_new):
-            if g_new > g_cur - SUFFICIENT_DECREASE * h * slope:
-                return False
-            if grad_new is None or mode != DIRECTION_DOUBLE_DESCENT:
-                return True
-            return 0.5 * float(grad_new @ grad_new) < aux_cur
 
         def attempt(h):
             nonlocal mode, v, slope, tries, fallback_remaining
@@ -295,7 +288,7 @@ def minimize(p: Potential, x0: np.ndarray, tol: Tolerances | None = None) -> Loc
                 mode, v, slope = DIRECTION_GRADIENT, gradient_v, grad_norm
                 fallback_remaining = GRADIENT_FALLBACK_STEPS
             tries += 1
-            step = st.try_step(mode, h, v, accept)
+            step = st.try_step(mode, h, v, slope, mode == DIRECTION_DOUBLE_DESCENT)
             if step is not None and mode == DIRECTION_GRADIENT and fallback_remaining > 0:
                 fallback_remaining -= 1
             return step
@@ -319,12 +312,7 @@ def saddle_search(p: Potential, x0: np.ndarray, tol: Tolerances | None = None) -
         if not np.any(v):
             # Gradient entirely outside range(H): no Newton direction exists.
             return None
-        aux_cur = st.aux
-
-        def accept(h, g_new, grad_new):
-            return grad_new is None or 0.5 * float(grad_new @ grad_new) < aux_cur
-
-        return lambda h: st.try_step(DIRECTION_NEWTON, h, v, accept)
+        return lambda h: st.try_step(DIRECTION_NEWTON, h, v, None, True)
 
     return st.run(next_attempt)
 
@@ -338,11 +326,6 @@ def gradient_descent(p: Potential, x0: np.ndarray,
     def next_attempt():
         grad_norm = float(np.linalg.norm(st.grad))
         v = -st.grad / grad_norm
-        g_cur = st.value
-
-        def accept(h, g_new, grad_new):
-            return g_new <= g_cur - SUFFICIENT_DECREASE * h * grad_norm
-
-        return lambda h: st.try_step(DIRECTION_GRADIENT, h, v, accept)
+        return lambda h: st.try_step(DIRECTION_GRADIENT, h, v, grad_norm, False)
 
     return st.run(next_attempt)

@@ -385,9 +385,9 @@ def make_boggs() -> NonlinearSystem:
     return NonlinearSystem(2, residual, jacobian, name="boggs")
 
 
-def sum_of_squares(system: NonlinearSystem,
-                   search_region: np.ndarray | None = None) -> Potential:
-    """Potential g = 0.5 S^T S with grad g = J_S^T S and FD Hessian.
+def sum_of_squares(system: NonlinearSystem) -> Potential:
+    """Potential g = 0.5 S^T S with grad g = J_S^T S and FD Hessian, on the
+    box [-5, 5]^n.
 
     Zeros of S are exactly the global minima of g with value 0.
     """
@@ -402,10 +402,8 @@ def sum_of_squares(system: NonlinearSystem,
     def hessian(x):
         return fd_hessian(gradient, x)
 
-    if search_region is None:
-        search_region = np.tile([-5.0, 5.0], (system.dimension, 1))
     return Potential(system.dimension, value, gradient, hessian,
-                     np.asarray(search_region, dtype=float), name=system.name)
+                     np.tile([-5.0, 5.0], (system.dimension, 1)), name=system.name)
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,6 @@ class SpectralInfo:
     inertia: tuple[int, int, int]
 
     @property
-    def dimension(self) -> int:
-        return self.eigenvalues.size
-
-    @property
     def n_plus(self) -> int:
         return self.inertia[0]
 
@@ -49,10 +45,6 @@ class SpectralInfo:
     @property
     def n_minus(self) -> int:
         return self.inertia[2]
-
-    @property
-    def is_positive_definite(self) -> bool:
-        return self.n_plus == self.dimension
 
     @property
     def positive_vectors(self) -> np.ndarray:

@@ -141,6 +141,29 @@ def test_benchmark_spec_validation(tmp_path):
     assert not (tmp_path / "report.xml").exists()
 
 
+@pytest.mark.parametrize("starts", [0, -3])
+def test_benchmark_spec_rejects_mc_starts_below_one(starts):
+    with pytest.raises(ValueError):
+        BenchmarkSpec(problem="camel", method="mc_descent", mc_starts=starts)
+
+
+@pytest.mark.parametrize("tol", [-1e-3, math.nan])
+def test_benchmark_spec_rejects_negative_target_tol(tol):
+    with pytest.raises(ValueError):
+        BenchmarkSpec(problem="camel", target_value=0.0, target_tol=tol)
+
+
+def test_anneal_config_rejects_empty_budget():
+    with pytest.raises(ValueError):
+        AnnealConfig(iteration_budget=0)
+
+
+@pytest.mark.parametrize("scale", [0.0, -0.5, math.nan])
+def test_anneal_config_rejects_nonpositive_neighbor_scale(scale):
+    with pytest.raises(ValueError):
+        AnnealConfig(neighbor_scale=scale)
+
+
 def test_run_benchmark_ddcid_aggregates():
     spec = BenchmarkSpec(problem="molei",
                          config=ExplorationConfig(max_critical_points=4, seed=0),
@@ -199,7 +222,7 @@ def test_emit_empty_table_header_only(tmp_path):
                        dimension=2)
     path = tmp_path / "empty.csv"
     emit_report(report, "csv", str(path))
-    rows = list(csv.reader(path.open()))
+    rows = list(csv.reader(path.read_text().splitlines()))
     assert rows == [CSV_HEADER_2D]
 
 
@@ -207,7 +230,7 @@ def test_emit_camel_table_rows(tmp_path):
     rep = explore(get_potential("camel"), ExplorationConfig(max_critical_points=100, seed=0))
     path = tmp_path / "camel.csv"
     emit_report(rep, "csv", str(path))
-    rows = list(csv.reader(path.open()))
+    rows = list(csv.reader(path.read_text().splitlines()))
     assert rows[0] == CSV_HEADER_2D
     assert len(rows) - 1 == len(rep.table)
     assert len(rows) - 1 >= 14
@@ -223,8 +246,7 @@ def test_emit_json_round_trip(tmp_path):
     rep = explore(get_potential("molei"), ExplorationConfig(max_critical_points=4, seed=11))
     path = tmp_path / "molei.json"
     emit_report(rep, "json", str(path))
-    back = RunReport.from_json(path.read_text())
-    assert back.canonical_dict() == rep.canonical_dict()
+    assert json.loads(path.read_text()) == rep.canonical_dict()
 
 
 def test_table_csv_rows_shape():
@@ -241,7 +263,7 @@ def test_write_trajectory_csv(tmp_path):
     esc = escape_minimum(p, np.array([1.0, 0.0]), DiffusionConfig(), NoiseSource(2))
     path = tmp_path / "traj.csv"
     write_trajectory_csv(esc.trajectory, str(path))
-    rows = list(csv.reader(path.open()))
+    rows = list(csv.reader(path.read_text().splitlines()))
     assert rows[0] == ["step", "x1", "x2", "g", "G", "n_plus", "n_zero", "n_minus"]
     assert len(rows) - 1 == len(esc.trajectory)
     last = rows[-1]
@@ -271,8 +293,21 @@ def test_cli_run_csv_and_out_dir(tmp_path, monkeypatch):
     code = main(["run", "--problem", "molei", "--budget", "3", "--seed", "2",
                  "--format", "csv", "--out", "table.csv"])
     assert code == 0
-    rows = list(csv.reader((tmp_path / "table.csv").open()))
+    rows = list(csv.reader((tmp_path / "table.csv").read_text().splitlines()))
     assert rows[0] == CSV_HEADER_2D
+
+
+@pytest.mark.parametrize("args", [
+    ["--method", "mc_descent", "--mc-starts", "0"],
+    ["--method", "mc_descent", "--mc-starts", "-3"],
+    ["--method", "sim_anneal", "--anneal-budget", "0"],
+    ["--method", "sim_anneal", "--neighbor-scale", "nan"],
+])
+def test_cli_out_of_range_baseline_setting_exit_code(tmp_path, capsys, args):
+    out = tmp_path / "report.json"
+    assert main(["run", "--problem", "camel", "--out", str(out)] + args) == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_unknown_problem_exit_code(capsys):
@@ -290,6 +325,6 @@ def test_cli_unwritable_output_exit_code(capsys):
 def test_cli_trace(tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["trace", "--problem", "molei", "--seed", "3", "--out", str(out)]) == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0][0] == "step"
     assert len(rows) >= 2
