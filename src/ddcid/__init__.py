@@ -4,7 +4,6 @@ intermittent diffusion, plus the benchmark harness around it."""
 from .potentials import (
     ClusterCoordinates,
     EvaluationError,
-    NonlinearSystem,
     Potential,
     available_problems,
     fd_hessian,
@@ -17,7 +16,6 @@ from .potentials import (
     make_morse,
     make_rosenbrock,
     make_shubert,
-    sum_of_squares,
 )
 from .spectral import (
     NoPositiveSubspaceError,

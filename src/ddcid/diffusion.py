@@ -55,9 +55,9 @@ class DiffusionConfig:
     max_diffusive_steps: int = 50
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:   # also rejects NaN
             raise ValueError("alpha must be positive")
-        if self.max_diffusive_steps < 1:
+        if not self.max_diffusive_steps >= 1:
             raise ValueError("max_diffusive_steps must be >= 1")
 
 

@@ -151,8 +151,8 @@ class ExplorationConfig:
     max_restarts: int = 5
 
     def __post_init__(self):
-        if self.max_critical_points < 1 or self.max_restarts < 0:
-            raise ValueError("budgets must be positive")
+        if not (self.max_critical_points >= 1 and self.max_restarts >= 0):   # also rejects NaN
+            raise ValueError("need max_critical_points >= 1 and max_restarts >= 0")
 
 
 @dataclass
@@ -247,7 +247,7 @@ class _Explorer:
         raise RuntimeError("could not draw a usable starting point")
 
     def _classify_and_record(self, result: LocalSearchResult) -> tuple[CriticalPoint, bool]:
-        grad_tol = self.cfg.tolerances.gradient_threshold(result.initial_grad_norm)
+        grad_tol = self.cfg.tolerances.threshold(result.initial_grad_norm)
         cp = classify(self.p, result.final_point, grad_tol)
         is_new = self.table.find(cp.location) is None
         return self.table.record(cp), is_new

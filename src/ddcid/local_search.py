@@ -82,16 +82,14 @@ class Tolerances:
     max_iterations: int = 500
 
     def __post_init__(self):
-        if self.atol <= 0 or self.rtol < 0:
+        if not (self.atol > 0 and self.rtol >= 0):   # also rejects NaN
             raise ValueError("need atol > 0 and rtol >= 0")
-        if self.max_iterations < 1:
+        if not self.max_iterations >= 1:
             raise ValueError("need max_iterations >= 1")
 
-    def gradient_threshold(self, grad0_norm: float) -> float:
-        return self.atol + grad0_norm * self.rtol
-
-    def displacement_threshold(self, x0_norm: float) -> float:
-        return self.atol + x0_norm * self.rtol
+    def threshold(self, reference_norm: float) -> float:
+        """atol + rtol * reference_norm: the starting gradient norm or point norm."""
+        return self.atol + reference_norm * self.rtol
 
 
 @dataclass
@@ -126,11 +124,11 @@ def stopping_criterion(x_k: np.ndarray, x_km1: np.ndarray | None, grad_k: np.nda
         ||x_k - x_km1|| >= atol + ||x0|| rtol
     hold; equality continues.  ``x_km1=None`` skips the displacement test.
     """
-    if np.linalg.norm(grad_k) < tol.gradient_threshold(np.linalg.norm(grad0)):
+    if np.linalg.norm(grad_k) < tol.threshold(np.linalg.norm(grad0)):
         return True
     if x_km1 is None:
         return False
-    return bool(np.linalg.norm(x_k - x_km1) < tol.displacement_threshold(np.linalg.norm(x0)))
+    return bool(np.linalg.norm(x_k - x_km1) < tol.threshold(np.linalg.norm(x0)))
 
 
 def double_descent_direction(grad: np.ndarray, s: SpectralInfo) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Benchmark objective functions and the potential abstraction.
 
-Every potential bundles the objective g, its gradient, a (possibly
-finite-difference) Hessian, and a default box used for random
-initialization.  Cluster energies are expressed in reduced coordinates with
-the rigid-body degrees of freedom pinned.
+Every potential bundles the objective g, its gradient, its Hessian, and a
+default box used for random initialization.  Gradients are analytic
+everywhere; so are Hessians, except for the cluster energies, whose Hessian
+is a forward difference of the analytic gradient (``fd_hessian``).  Cluster
+energies are expressed in reduced coordinates with the rigid-body degrees of
+freedom pinned.
 """
 
 from __future__ import annotations
@@ -40,25 +42,21 @@ class Potential:
             raise ValueError("search_region must have shape (dimension, 2)")
 
 
-def fd_hessian(gradient: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-               batch_gradient: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+def fd_hessian(gradient: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Forward-difference Jacobian of ``gradient``, symmetrized as (A + A^T)/2.
 
-    The step is sqrt(machine eps) * max(1, ||x||_inf).  ``batch_gradient``,
-    if given, maps a stack of points (m, n) to their gradients (m, n) in one
-    call and must agree with ``gradient`` row by row; the result is then the
-    same.
+    ``gradient`` maps a point (n,) to its gradient (n,) and a stack of points
+    (m, n) to their gradients (m, n), row by row as for one point; all n
+    shifted points go through one stacked call.  The step is
+    sqrt(machine eps) * max(1, ||x||_inf).
     """
     x = np.asarray(x, dtype=float)
-    step = math.sqrt(np.finfo(float).eps) * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
+    step = math.sqrt(np.finfo(float).eps) * max(1.0, float(np.max(np.abs(x))))
     n = x.size
     g0 = np.asarray(gradient(x), dtype=float)
     shifted = np.tile(x, (n, 1))
     shifted[np.diag_indices(n)] += step
-    if batch_gradient is not None:
-        grads = np.asarray(batch_gradient(shifted), dtype=float)
-    else:
-        grads = np.array([np.asarray(gradient(xp), dtype=float) for xp in shifted])
+    grads = np.asarray(gradient(shifted), dtype=float)
     cols = ((grads - g0) / step).T
     return 0.5 * (cols + cols.T)
 
@@ -168,6 +166,43 @@ def make_biggs() -> Potential:
 
     region = np.array([[0.0, 25.0], [0.0, 25.0]])
     return Potential(2, value, gradient, hessian, region, name="biggs")
+
+
+def make_boggs() -> Potential:
+    """g = 0.5 S^T S for the system S(x, y) = (x^2 - y + 1, x - cos(pi y / 2)).
+
+    The three real roots of S are the global minima of g, with value 0.
+    The Hessian is J^T J + sum_i S_i Hess(S_i).
+    """
+
+    def residual(p):
+        x, y = p
+        return np.array([x * x - y + 1.0, x - math.cos(0.5 * math.pi * y)])
+
+    def jacobian(p):
+        x, y = p
+        return np.array([
+            [2.0 * x, -1.0],
+            [1.0, 0.5 * math.pi * math.sin(0.5 * math.pi * y)],
+        ])
+
+    def value(p):
+        s = residual(p)
+        return 0.5 * float(s @ s)
+
+    def gradient(p):
+        return jacobian(p).T @ residual(p)
+
+    def hessian(p):
+        s = residual(p)
+        j = jacobian(p)
+        h = j.T @ j
+        h[0, 0] += 2.0 * s[0]
+        h[1, 1] += (0.5 * math.pi) ** 2 * math.cos(0.5 * math.pi * p[1]) * s[1]
+        return h
+
+    region = np.array([[-5.0, 5.0], [-5.0, 5.0]])
+    return Potential(2, value, gradient, hessian, region, name="boggs")
 
 
 def make_camel() -> Potential:
@@ -310,7 +345,7 @@ def _make_cluster_potential(name: str, coords: ClusterCoordinates,
         return coords.project_forces(forces.reshape(pos.shape))
 
     def hessian(x):
-        return fd_hessian(gradient, x, batch_gradient=gradient)
+        return fd_hessian(gradient, x)
 
     return Potential(coords.dimension, value, gradient, hessian,
                      _cluster_region(coords), name=name)
@@ -355,58 +390,6 @@ def make_morse(d: int, rho: float) -> Potential:
 
 
 # ---------------------------------------------------------------------------
-# Nonlinear systems via sum of squares
-# ---------------------------------------------------------------------------
-
-@dataclass
-class NonlinearSystem:
-    """Square nonlinear system S(x) = 0 together with its Jacobian."""
-
-    dimension: int
-    residual: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
-    name: str = "system"
-
-
-def make_boggs() -> NonlinearSystem:
-    """S(x, y) = (x^2 - y + 1, x - cos(pi y / 2)); three real roots."""
-
-    def residual(p):
-        x, y = p
-        return np.array([x * x - y + 1.0, x - math.cos(0.5 * math.pi * y)])
-
-    def jacobian(p):
-        x, y = p
-        return np.array([
-            [2.0 * x, -1.0],
-            [1.0, 0.5 * math.pi * math.sin(0.5 * math.pi * y)],
-        ])
-
-    return NonlinearSystem(2, residual, jacobian, name="boggs")
-
-
-def sum_of_squares(system: NonlinearSystem) -> Potential:
-    """Potential g = 0.5 S^T S with grad g = J_S^T S and FD Hessian, on the
-    box [-5, 5]^n.
-
-    Zeros of S are exactly the global minima of g with value 0.
-    """
-
-    def value(x):
-        s = system.residual(x)
-        return 0.5 * float(s @ s)
-
-    def gradient(x):
-        return system.jacobian(x).T @ system.residual(x)
-
-    def hessian(x):
-        return fd_hessian(gradient, x)
-
-    return Potential(system.dimension, value, gradient, hessian,
-                     np.tile([-5.0, 5.0], (system.dimension, 1)), name=system.name)
-
-
-# ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
@@ -415,7 +398,7 @@ _FIXED_PROBLEMS: dict[str, Callable[[], Potential]] = {
     "shubert": make_shubert,
     "biggs": make_biggs,
     "camel": make_camel,
-    "boggs": lambda: sum_of_squares(make_boggs()),
+    "boggs": make_boggs,
 }
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -269,3 +270,19 @@ def test_exploration_config_validation():
         Tolerances(atol=0.0)
     with pytest.raises(ValueError):
         DiffusionConfig(alpha=0.0)
+
+
+@pytest.mark.parametrize("config, field_name", [
+    (DiffusionConfig, "alpha"),
+    (DiffusionConfig, "max_diffusive_steps"),
+    (Tolerances, "atol"),
+    (Tolerances, "rtol"),
+    (Tolerances, "max_iterations"),
+    (ExplorationConfig, "max_critical_points"),
+    (ExplorationConfig, "max_restarts"),
+])
+def test_config_rejects_nan(config, field_name):
+    # NaN passes a `<=` range check; with max_diffusive_steps=nan an escape
+    # whose inertia never changes would never stop.
+    with pytest.raises(ValueError):
+        config(**{field_name: math.nan})

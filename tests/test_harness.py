@@ -310,6 +310,15 @@ def test_cli_out_of_range_baseline_setting_exit_code(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option", ["--alpha", "--atol", "--rtol"])
+def test_cli_nan_explorer_setting_exit_code(tmp_path, capsys, option):
+    out = tmp_path / "report.json"
+    assert main(["run", "--problem", "camel", "--budget", "3", "--out", str(out),
+                 option, "nan"]) == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_unknown_problem_exit_code(capsys):
     assert main(["run", "--problem", "unknown"]) == 1
     assert "error" in capsys.readouterr().err

@@ -20,7 +20,7 @@ from ddcid.local_search import (
     saddle_search,
     stopping_criterion,
 )
-from ddcid.potentials import EvaluationError, Potential, make_camel, make_molei, sum_of_squares, make_boggs
+from ddcid.potentials import EvaluationError, Potential, make_boggs, make_camel, make_molei
 from ddcid.spectral import NoPositiveSubspaceError, eigendecompose
 
 CAMEL_MINIMA = [
@@ -370,7 +370,7 @@ def test_saddle_search_zero_iterations_at_critical_point():
 
 @pytest.mark.parametrize("target", BOGGS_SADDLES)
 def test_saddle_search_boggs(target):
-    p = sum_of_squares(make_boggs())
+    p = make_boggs()
     rng = np.random.default_rng(int(abs(target[0]) * 997))
     hits = 0
     for _ in range(3):

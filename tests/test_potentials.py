@@ -16,7 +16,6 @@ from ddcid.potentials import (
     make_morse,
     make_rosenbrock,
     make_shubert,
-    sum_of_squares,
 )
 
 # Grid scan at resolution 0.01 over [-10,10]^2 plus a Newton polish of the
@@ -240,34 +239,18 @@ def test_cluster_coordinates_layout():
     assert np.array_equal(pos, again)
 
 
-# --- nonlinear systems ------------------------------------------------------
+# --- boggs ------------------------------------------------------------------
 
 def test_boggs_roots():
-    sys_ = make_boggs()
+    # g = 0.5 |S|^2, so |S| = sqrt(2 g) is the residual norm at each root.
+    p = make_boggs()
     for root in ([0.0, 1.0], [-1.0, 2.0], [-np.sqrt(2.0) / 2.0, 1.5]):
-        assert np.linalg.norm(sys_.residual(np.array(root))) < 1e-12
-
-
-def test_boggs_jacobian_at_origin():
-    sys_ = make_boggs()
-    assert np.allclose(sys_.jacobian(np.zeros(2)), [[0.0, -1.0], [1.0, 0.0]])
-
-
-def test_boggs_jacobian_matches_finite_differences():
-    sys_ = make_boggs()
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        x = rng.uniform(-3, 3, 2)
-        j = sys_.jacobian(x)
-        for col in range(2):
-            e = np.zeros(2)
-            e[col] = 1e-6
-            fd = (sys_.residual(x + e) - sys_.residual(x - e)) / 2e-6
-            assert np.linalg.norm(j[:, col] - fd) < 1e-6
+        assert np.sqrt(2.0 * p.value(np.array(root))) < 1e-12
 
 
 def test_sum_of_squares_zeros_are_global_minima():
-    p = sum_of_squares(make_boggs())
+    # The roots of S are the zeros of g = 0.5 S^T S, hence its global minima.
+    p = make_boggs()
     for root in ([0.0, 1.0], [-1.0, 2.0], [-np.sqrt(2.0) / 2.0, 1.5]):
         x = np.array(root)
         assert p.value(x) < 1e-24
@@ -281,7 +264,7 @@ def test_sum_of_squares_zeros_are_global_minima():
 
 def test_fd_hessian_quadratic_exact():
     a = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, -1.0], [0.0, -1.0, 2.0]])
-    h = fd_hessian(lambda x: a @ x, np.array([0.3, -0.2, 0.9]))
+    h = fd_hessian(lambda x: x @ a, np.array([0.3, -0.2, 0.9]))
     assert np.max(np.abs(h - a)) < 1e-6
 
 
@@ -313,15 +296,14 @@ def test_fd_hessian_lj3_at_minimum():
 
 @pytest.mark.parametrize("key", ["lj:2", "lj:3", "lj:8", "morse:11:3"])
 def test_cluster_batched_evaluation_matches_pointwise(key):
-    # The cluster Hessian evaluates all shifted gradients as one stack; it
-    # must reproduce the column-by-column fd_hessian bit for bit.
+    # The cluster Hessian differences one stacked gradient call; each row of
+    # the stack must be that point's own gradient, bit for bit.
     p = get_potential(key)
     coords = ClusterCoordinates(int(key.split(":")[1]))
     rng = np.random.default_rng(zlib.crc32(key.encode()))
     for _ in range(5):
-        x = sample_point(p, rng)
-        assert np.array_equal(p.hessian(x), fd_hessian(p.gradient, x))
-        stack = np.vstack([x, sample_point(p, rng)])
+        stack = np.vstack([sample_point(p, rng), sample_point(p, rng)])
+        assert np.array_equal(p.gradient(stack), np.stack([p.gradient(row) for row in stack]))
         assert np.array_equal(coords.positions(stack),
                               np.stack([coords.positions(row) for row in stack]))
 
@@ -389,3 +371,19 @@ def test_hessian_symmetric_in_region(key):
     for _ in range(5):
         h = p.hessian(sample_point(p, rng))
         assert np.max(np.abs(h - h.T)) <= 1e-8 * max(1.0, np.max(np.abs(h)))
+
+
+@pytest.mark.parametrize("key", REGISTRY_KEYS)
+def test_hessian_matches_central_differences_of_gradient(key):
+    p = get_potential(key)
+    rng = np.random.default_rng(200 + zlib.crc32(key.encode()) % 1000)
+    for _ in range(20):
+        x = sample_point(p, rng)
+        h = p.hessian(x)
+        step = 1e-6 * max(1.0, np.max(np.abs(x)))
+        central = np.zeros_like(h)
+        for j in range(x.size):
+            e = np.zeros_like(x)
+            e[j] = step
+            central[:, j] = (p.gradient(x + e) - p.gradient(x - e)) / (2.0 * step)
+        assert np.max(np.abs(h - central)) <= 1e-5 * max(1.0, np.max(np.abs(h)))
