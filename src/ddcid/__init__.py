@@ -6,7 +6,6 @@ from .potentials import (
     EvaluationError,
     Potential,
     available_problems,
-    fd_hessian,
     get_potential,
     make_biggs,
     make_boggs,

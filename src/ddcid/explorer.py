@@ -335,12 +335,13 @@ class _Explorer:
             stats = AttemptStats(index=index, source="fresh")
             recorded = None
             if not self.table.entries:
-                for _ in range(self.cfg.max_restarts + 1):
+                for retry in range(self.cfg.max_restarts + 1):
                     fresh = self._fresh_search(stats)
                     if fresh is not None:
                         recorded = fresh[0]
                         break
-                    stats.restarts += 1
+                    if retry < self.cfg.max_restarts:
+                        stats.restarts += 1
             else:
                 recorded = self._escape_loop(stats)
             if recorded is not None:

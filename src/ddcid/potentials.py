@@ -2,8 +2,9 @@
 
 Every potential bundles the objective g, its gradient, its Hessian, and a
 default box used for random initialization.  Gradients are analytic
-everywhere; so are Hessians, except for the cluster energies, whose Hessian
-is a forward difference of the analytic gradient (``fd_hessian``).  Cluster
+everywhere and take one point; so are Hessians, except for the cluster
+energies, whose Hessian is a forward difference of the analytic gradient,
+with the point and its shifted copies evaluated in one stacked call.  Cluster
 energies are expressed in reduced coordinates with the rigid-body degrees of
 freedom pinned.
 """
@@ -18,6 +19,7 @@ import numpy as np
 
 MIN_PAIR_DISTANCE = 1e-8      # below this, cluster energies error out
 _EXP_ARG_LIMIT = 500.0        # exp argument bound keeping doubles finite
+_FD_STEP = math.sqrt(np.finfo(float).eps)   # cluster Hessian step, times max(1, |x|_inf)
 
 
 class EvaluationError(ValueError):
@@ -40,25 +42,9 @@ class Potential:
         self.search_region = np.asarray(self.search_region, dtype=float)
         if self.search_region.shape != (self.dimension, 2):
             raise ValueError("search_region must have shape (dimension, 2)")
-
-
-def fd_hessian(gradient: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Forward-difference Jacobian of ``gradient``, symmetrized as (A + A^T)/2.
-
-    ``gradient`` maps a point (n,) to its gradient (n,) and a stack of points
-    (m, n) to their gradients (m, n), row by row as for one point; all n
-    shifted points go through one stacked call.  The step is
-    sqrt(machine eps) * max(1, ||x||_inf).
-    """
-    x = np.asarray(x, dtype=float)
-    step = math.sqrt(np.finfo(float).eps) * max(1.0, float(np.max(np.abs(x))))
-    n = x.size
-    g0 = np.asarray(gradient(x), dtype=float)
-    shifted = np.tile(x, (n, 1))
-    shifted[np.diag_indices(n)] += step
-    grads = np.asarray(gradient(shifted), dtype=float)
-    cols = ((grads - g0) / step).T
-    return 0.5 * (cols + cols.T)
+        lower, upper = self.search_region.T
+        if not (np.isfinite(self.search_region).all() and (lower < upper).all()):
+            raise ValueError("search_region needs finite bounds with lower < upper in every row")
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +272,8 @@ class ClusterCoordinates:
         gives a stack of position arrays (..., d, 3)."""
         reduced = np.asarray(reduced, dtype=float)
         if reduced.shape[-1:] != (self.dimension,):
-            raise ValueError(f"expected {self.dimension} coordinates, got {reduced.size}")
+            got = reduced.shape[-1] if reduced.ndim else "a scalar"
+            raise ValueError(f"expected {self.dimension} coordinates, got {got}")
         batch = reduced.shape[:-1]
         flat = np.zeros(batch + (3 * self.atom_count,))
         flat[..., self._slots] = reduced
@@ -307,17 +294,18 @@ def _cluster_region(coords: ClusterCoordinates) -> np.ndarray:
 def _make_cluster_potential(name: str, coords: ClusterCoordinates,
                             pair_value: Callable[[np.ndarray], np.ndarray],
                             pair_deriv: Callable[[np.ndarray], np.ndarray]) -> Potential:
-    """Pairwise energy sum over atoms with analytic gradient and FD Hessian
-    (all n shifted gradients evaluated in one batch)."""
-    d = coords.atom_count
+    """Pairwise energy sum over atoms with analytic gradient and a
+    forward-difference Hessian (x and its n shifted copies in one stack)."""
+    d, n = coords.atom_count, coords.dimension
     iu, ju = np.triu_indices(d, k=1)
 
     # Flat (atom, axis) slot of every term in the force scatter: -w * sep on
-    # atom i for every pair, then +w * sep on atom j for every pair.  bincount
-    # adds each slot's terms in this order, starting from zero, so a point's
-    # gradient is bit-identical whether or not it is evaluated in a stack.
-    slots = (np.concatenate([iu, ju])[:, None] * 3 + np.arange(3)).ravel()
-    slots_for = {}
+    # atom i for every pair, then +w * sep on atom j for every pair, repeated
+    # for each point of the Hessian's stack.  bincount adds each slot's terms
+    # in this order, starting from zero, so a point's gradient is
+    # bit-identical whether or not it is evaluated in the stack.
+    point_slots = (np.concatenate([iu, ju])[:, None] * 3 + np.arange(3)).ravel()
+    stack_slots = (np.arange(n + 1)[:, None] * (3 * d) + point_slots).ravel()
 
     def _distances(pos):
         sep = pos.take(ju, axis=-2) - pos.take(iu, axis=-2)
@@ -327,28 +315,34 @@ def _make_cluster_potential(name: str, coords: ClusterCoordinates,
             raise EvaluationError(f"{name}: coincident atoms (pair distance below floor)")
         return sep, r
 
+    def _gradients(x, slots):
+        # dV/dP_k = sum_j phi'(r_kj) (P_k - P_j) / r_kj, for x (n,) with
+        # point_slots or for a stack x (n + 1, n) with stack_slots.
+        pos = coords.positions(x)
+        sep, r = _distances(pos)
+        terms = (pair_deriv(r) / r)[..., None] * sep
+        terms = np.concatenate([-terms, terms], axis=-2)
+        forces = np.bincount(slots, weights=terms.ravel(), minlength=pos.size)
+        return coords.project_forces(forces.reshape(pos.shape))
+
     def value(x):
         _, r = _distances(coords.positions(x))
         return float(pair_value(r).sum())
 
     def gradient(x):
-        """Gradient at x (n,), or at each point of a stack (..., n)."""
-        pos = coords.positions(x)
-        sep, r = _distances(pos)
-        # dV/dP_k = sum_j phi'(r_kj) (P_k - P_j) / r_kj
-        terms = (pair_deriv(r) / r)[..., None] * sep
-        terms = np.concatenate([-terms, terms], axis=-2)
-        m = pos.size // (3 * d)
-        if m not in slots_for:
-            slots_for[m] = (np.arange(m)[:, None] * (3 * d) + slots).ravel()
-        forces = np.bincount(slots_for[m], weights=terms.ravel(), minlength=3 * d * m)
-        return coords.project_forces(forces.reshape(pos.shape))
+        return _gradients(x, point_slots)
 
     def hessian(x):
-        return fd_hessian(gradient, x)
+        # Row 0 of the stack is x, row k its copy with coordinate k - 1 shifted.
+        x = np.asarray(x, dtype=float)
+        step = _FD_STEP * max(1.0, float(np.max(np.abs(x))))
+        stack = np.tile(x, (n + 1, 1))
+        stack[np.arange(1, n + 1), np.arange(n)] += step
+        g = _gradients(stack, stack_slots)
+        a = ((g[1:] - g[0]) / step).T
+        return 0.5 * (a + a.T)
 
-    return Potential(coords.dimension, value, gradient, hessian,
-                     _cluster_region(coords), name=name)
+    return Potential(n, value, gradient, hessian, _cluster_region(coords), name=name)
 
 
 def make_lennard_jones(d: int) -> Potential:
@@ -372,18 +366,18 @@ def make_morse(d: int, rho: float) -> Potential:
         raise ValueError("rho must be positive")
     coords = ClusterCoordinates(d)
 
-    def pair_value(r):
+    def exp_term(r):
         arg = rho * (1.0 - r)
         if np.any(arg > _EXP_ARG_LIMIT):
             raise EvaluationError(f"morse: exponential overflow (rho={rho})")
-        e = np.exp(arg)
+        return np.exp(arg)
+
+    def pair_value(r):
+        e = exp_term(r)
         return e * (e - 2.0)
 
     def pair_deriv(r):
-        arg = rho * (1.0 - r)
-        if np.any(arg > _EXP_ARG_LIMIT):
-            raise EvaluationError(f"morse: exponential overflow (rho={rho})")
-        e = np.exp(arg)
+        e = exp_term(r)
         return -2.0 * rho * e * (e - 1.0)
 
     return _make_cluster_potential(f"morse:{d}:{rho:g}", coords, pair_value, pair_deriv)

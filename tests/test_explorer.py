@@ -26,7 +26,7 @@ from ddcid.explorer import (
     select_escape_target,
 )
 from ddcid.local_search import Tolerances
-from ddcid.potentials import make_camel, make_molei
+from ddcid.potentials import EvaluationError, Potential, make_camel, make_molei
 from ddcid.spectral import eigendecompose
 
 MOLEI_POINTS = {
@@ -249,6 +249,21 @@ def test_explore_averages_match_raw_logs():
     summary = rep.summary()
     assert summary["mean_diffusive_steps"] == pytest.approx(np.mean(diff))
     assert summary["recorded"] == sum(1 for a in rep.attempts if a.outcome == "recorded")
+
+
+@pytest.mark.parametrize("max_restarts", [0, 5])
+def test_explore_counts_restarts_when_every_fresh_start_fails(max_restarts):
+    # No start can be drawn: each fresh try gives up after its draws, and an
+    # attempt makes max_restarts + 1 tries, i.e. max_restarts restarts.
+    def fail(x):
+        raise EvaluationError("unusable everywhere")
+
+    p = Potential(2, fail, fail, fail, np.array([[-1.0, 1.0], [-1.0, 1.0]]), name="broken")
+    rep = explore(p, ExplorationConfig(max_critical_points=3, max_restarts=max_restarts))
+    assert [a.outcome for a in rep.attempts] == ["failed"] * 3
+    assert all(a.restarts == max_restarts for a in rep.attempts)
+    assert all(len(a.episodes) == max_restarts + 1 for a in rep.attempts)
+    assert json.loads(rep.to_json())["summary"]["best_value"] is None
 
 
 def test_report_json_round_trip():

@@ -6,7 +6,7 @@ import pytest
 from ddcid.potentials import (
     ClusterCoordinates,
     EvaluationError,
-    fd_hessian,
+    Potential,
     get_potential,
     make_biggs,
     make_boggs,
@@ -59,6 +59,20 @@ def central_fd_gradient(value, x, h):
         xm[i] -= h
         g[i] = (value(xp) - value(xm)) / (2.0 * h)
     return g
+
+
+def fd_hessian(gradient, x):
+    """Oracle for the cluster Hessian: the same forward difference, step and
+    symmetrization, from one ``gradient`` call per point."""
+    step = np.sqrt(np.finfo(float).eps) * max(1.0, float(np.max(np.abs(x))))
+    g0 = gradient(x)
+    rows = np.empty((x.size, x.size))
+    for k in range(x.size):
+        shifted = x.copy()
+        shifted[k] += step
+        rows[k] = (gradient(shifted) - g0) / step
+    a = rows.T
+    return 0.5 * (a + a.T)
 
 
 def sample_point(p, rng):
@@ -239,6 +253,25 @@ def test_cluster_coordinates_layout():
     assert np.array_equal(pos, again)
 
 
+def test_cluster_coordinates_report_the_wrong_width():
+    # A (3, 5) stack against dimension 6 holds 15 numbers; the width is 5.
+    with pytest.raises(ValueError, match="expected 6 coordinates, got 5"):
+        ClusterCoordinates(4).positions(np.zeros((3, 5)))
+
+
+# --- search region ----------------------------------------------------------
+
+@pytest.mark.parametrize("row", [[1.0, 1.0], [2.0, -2.0], [np.nan, 1.0], [-1.0, np.inf]],
+                         ids=["zero-width", "inverted", "nan", "infinite"])
+def test_potential_rejects_malformed_search_region(row):
+    # An explore run would fail mid-way in numpy on each of these, or, for a
+    # zero-width box, record every re-found point as new (dedup radius 0).
+    base = make_molei()
+    region = np.array([[-3.0, 3.0], row])
+    with pytest.raises(ValueError, match="lower < upper"):
+        Potential(2, base.value, base.gradient, base.hessian, region)
+
+
 # --- boggs ------------------------------------------------------------------
 
 def test_boggs_roots():
@@ -260,18 +293,12 @@ def test_sum_of_squares_zeros_are_global_minima():
         assert p.value(rng.uniform(-5, 5, 2)) >= 0.0
 
 
-# --- finite-difference Hessian ----------------------------------------------
-
-def test_fd_hessian_quadratic_exact():
-    a = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, -1.0], [0.0, -1.0, 2.0]])
-    h = fd_hessian(lambda x: x @ a, np.array([0.3, -0.2, 0.9]))
-    assert np.max(np.abs(h - a)) < 1e-6
-
+# --- finite-difference cluster Hessian ---------------------------------------
 
 def test_fd_hessian_symmetrized_exactly():
     p = make_lennard_jones(4)
     rng = np.random.default_rng(8)
-    h = fd_hessian(p.gradient, sample_point(p, rng))
+    h = p.hessian(sample_point(p, rng))
     assert np.array_equal(h, h.T)
 
 
@@ -281,7 +308,7 @@ def test_fd_hessian_lj3_at_minimum():
     x = np.array([r, 0.5 * r, 0.5 * np.sqrt(3.0) * r])
     p = make_lennard_jones(3)
     assert np.linalg.norm(p.gradient(x)) < 1e-10
-    h = fd_hessian(p.gradient, x)
+    h = p.hessian(x)
     assert np.min(np.linalg.eigvalsh(h)) >= -1e-4
     # central-difference oracle agreement
     n = x.size
@@ -296,14 +323,15 @@ def test_fd_hessian_lj3_at_minimum():
 
 @pytest.mark.parametrize("key", ["lj:2", "lj:3", "lj:8", "morse:11:3"])
 def test_cluster_batched_evaluation_matches_pointwise(key):
-    # The cluster Hessian differences one stacked gradient call; each row of
-    # the stack must be that point's own gradient, bit for bit.
+    # The cluster Hessian evaluates x and its shifted copies in one stack;
+    # it must equal the difference of one-point gradients, bit for bit.
     p = get_potential(key)
     coords = ClusterCoordinates(int(key.split(":")[1]))
     rng = np.random.default_rng(zlib.crc32(key.encode()))
     for _ in range(5):
-        stack = np.vstack([sample_point(p, rng), sample_point(p, rng)])
-        assert np.array_equal(p.gradient(stack), np.stack([p.gradient(row) for row in stack]))
+        x = sample_point(p, rng)
+        assert np.array_equal(p.hessian(x), fd_hessian(p.gradient, x))
+        stack = np.vstack([x, sample_point(p, rng)])
         assert np.array_equal(coords.positions(stack),
                               np.stack([coords.positions(row) for row in stack]))
 
