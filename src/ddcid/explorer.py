@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -102,7 +103,8 @@ class CriticalPointTable:
 
     def find(self, x: np.ndarray) -> CriticalPoint | None:
         for entry in self.entries:
-            if np.linalg.norm(entry.location - x) < self.dedup_radius:
+            d = entry.location - x
+            if math.sqrt(d.dot(d)) < self.dedup_radius:
                 return entry
         return None
 

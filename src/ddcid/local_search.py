@@ -124,11 +124,17 @@ def stopping_criterion(x_k: np.ndarray, x_km1: np.ndarray | None, grad_k: np.nda
         ||x_k - x_km1|| >= atol + ||x0|| rtol
     hold; equality continues.  ``x_km1=None`` skips the displacement test.
     """
-    if np.linalg.norm(grad_k) < tol.threshold(np.linalg.norm(grad0)):
-        return True
-    if x_km1 is None:
-        return False
-    return bool(np.linalg.norm(x_k - x_km1) < tol.threshold(np.linalg.norm(x0)))
+    return _should_stop(grad_k, x_k, x_km1, tol.threshold(_norm(grad0)), tol.threshold(_norm(x0)))
+
+
+def _norm(v: np.ndarray) -> float:
+    # What np.linalg.norm computes for a real vector, without its dispatch.
+    return math.sqrt(v.dot(v))
+
+
+def _should_stop(grad: np.ndarray, x: np.ndarray, x_prev: np.ndarray | None,
+                 grad_tol: float, step_tol: float) -> bool:
+    return _norm(grad) < grad_tol or (x_prev is not None and _norm(x - x_prev) < step_tol)
 
 
 def double_descent_direction(grad: np.ndarray, s: SpectralInfo) -> np.ndarray:
@@ -182,16 +188,16 @@ class _Search:
         if not np.isfinite(self.grad).all():
             raise EvaluationError("non-finite gradient at the starting point")
         self.value = float(p.value(self.x))
-        self.x0 = self.x.copy()
-        self.grad0 = self.grad.copy()
+        if not math.isfinite(self.value):
+            raise EvaluationError("non-finite value at the starting point")
+        self.grad0_norm = _norm(self.grad)
+        self.grad_threshold = self.tol.threshold(self.grad0_norm)
+        self.step_threshold = self.tol.threshold(_norm(self.x))
+        self.aux = 0.5 * float(self.grad @ self.grad)   # G = |grad g|^2 / 2 at x
         self.history: list[StepInfo] = []
 
-    @property
-    def aux(self) -> float:
-        return 0.5 * float(self.grad @ self.grad)
-
     def done(self, x_prev: np.ndarray | None) -> bool:
-        return stopping_criterion(self.x, x_prev, self.grad, self.x0, self.grad0, self.tol)
+        return _should_stop(self.grad, self.x, x_prev, self.grad_threshold, self.step_threshold)
 
     def result(self, outcome: str) -> LocalSearchResult:
         return LocalSearchResult(
@@ -200,7 +206,7 @@ class _Search:
             outcome=outcome,
             history=self.history,
             final_value=self.value,
-            initial_grad_norm=float(np.linalg.norm(self.grad0)),
+            initial_grad_norm=self.grad0_norm,
         )
 
     def spectral(self) -> SpectralInfo:
@@ -222,7 +228,7 @@ class _Search:
         if slope is not None and g_new > self.value - SUFFICIENT_DECREASE * h * slope:
             return None
         grad_new = np.asarray(self.p.gradient(candidate), dtype=float)
-        if not np.all(np.isfinite(grad_new)):
+        if not np.isfinite(grad_new).all():
             return None
         if lower_aux and not 0.5 * float(grad_new @ grad_new) < self.aux:
             return None
@@ -243,6 +249,7 @@ class _Search:
             h, (direction_name, v, candidate, g_new, grad_new) = found
             prev = self.x
             self.x, self.value, self.grad = candidate, g_new, grad_new
+            self.aux = 0.5 * float(grad_new @ grad_new)
             self.ctrl.accept()
             self.history.append(StepInfo(
                 direction=direction_name, step_size=h, point=candidate,
@@ -266,7 +273,7 @@ def minimize(p: Potential, x0: np.ndarray, tol: Tolerances | None = None) -> Loc
 
     def next_attempt():
         nonlocal fallback_remaining
-        grad_norm = float(np.linalg.norm(st.grad))
+        grad_norm = _norm(st.grad)
         gradient_v = -st.grad / grad_norm
         mode, v = DIRECTION_GRADIENT, gradient_v
         slope = grad_norm                      # |v . grad| for the unit gradient step
@@ -307,7 +314,7 @@ def saddle_search(p: Potential, x0: np.ndarray, tol: Tolerances | None = None) -
             v = -newton_solve(p.hessian(st.x), st.grad)
         except EvaluationError:
             return None
-        if not np.any(v):
+        if not v.any():
             # Gradient entirely outside range(H): no Newton direction exists.
             return None
         return lambda h: st.try_step(DIRECTION_NEWTON, h, v, None, True)
@@ -322,7 +329,7 @@ def gradient_descent(p: Potential, x0: np.ndarray,
     st = _Search(p, x0, tol)
 
     def next_attempt():
-        grad_norm = float(np.linalg.norm(st.grad))
+        grad_norm = _norm(st.grad)
         v = -st.grad / grad_norm
         return lambda h: st.try_step(DIRECTION_GRADIENT, h, v, grad_norm, False)
 

@@ -221,12 +221,13 @@ def make_rosenbrock(n: int) -> Potential:
     tridiagonal analytic Hessian."""
     if n < 2:
         raise ValueError("rosenbrock needs dimension >= 2")
+    idx = np.arange(n)   # the Hessian's index arrays, built once
 
     def value(x):
-        return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2))
+        return float((100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2).sum())
 
     def gradient(x):
-        g = np.zeros_like(x)
+        g = np.zeros(n)
         diff = x[1:] - x[:-1] ** 2
         g[:-1] += -400.0 * x[:-1] * diff + 2.0 * (x[:-1] - 1.0)
         g[1:] += 200.0 * diff
@@ -238,9 +239,9 @@ def make_rosenbrock(n: int) -> Potential:
         d[:-1] += 1200.0 * x[:-1] ** 2 - 400.0 * x[1:] + 2.0
         d[1:] += 200.0
         off = -400.0 * x[:-1]
-        h[np.arange(n), np.arange(n)] = d
-        h[np.arange(n - 1), np.arange(1, n)] = off
-        h[np.arange(1, n), np.arange(n - 1)] = off
+        h[idx, idx] = d
+        h[idx[:-1], idx[1:]] = off
+        h[idx[1:], idx[:-1]] = off
         return h
 
     region = np.tile([-5.0, 10.0], (n, 1))

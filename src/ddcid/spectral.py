@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgeqp3, dorgqr, dtrtrs
 
 from .potentials import EvaluationError
 
@@ -62,10 +63,10 @@ def _require_symmetric(H: np.ndarray) -> np.ndarray:
         raise NotSymmetricError(f"expected a square matrix, got shape {H.shape}")
     # NaN would pass the comparisons below and yield a meaningless inertia.
     # EvaluationError is handled as a failed evaluation of the potential.
-    scale = float(np.max(np.abs(H))) if H.size else 0.0
+    scale = float(np.abs(H).max()) if H.size else 0.0
     if not math.isfinite(scale):
         raise EvaluationError("matrix has non-finite entries")
-    asym = np.max(np.abs(H - H.T)) if H.size else 0.0
+    asym = np.abs(H - H.T).max() if H.size else 0.0
     tol = np.sqrt(np.finfo(float).eps) * max(1.0, scale)
     if asym > tol:
         raise NotSymmetricError(f"matrix asymmetry {asym:.3e} exceeds tolerance {tol:.3e}")
@@ -73,11 +74,11 @@ def _require_symmetric(H: np.ndarray) -> np.ndarray:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    # Deterministic sign: first nonzero component of each eigenvector positive.
-    if vectors.size == 0:
-        return vectors
-    leading = vectors[(vectors != 0).argmax(axis=0), range(vectors.shape[1])]
-    return np.where(leading < 0, -vectors, vectors)
+    # Deterministic sign, set in place: first nonzero component of each column positive.
+    if vectors.size:
+        leading = vectors[(vectors != 0).argmax(axis=0), np.arange(vectors.shape[1])]
+        vectors *= np.where(leading < 0, -1.0, 1.0)
+    return vectors
 
 
 def eigendecompose(H: np.ndarray) -> SpectralInfo:
@@ -87,12 +88,11 @@ def eigendecompose(H: np.ndarray) -> SpectralInfo:
     inertia.  Rejects matrices that are not symmetric within tolerance, and
     raises EvaluationError on NaN or infinite entries.
     """
-    sym = _require_symmetric(H)
-    w, v = np.linalg.eigh(sym)
+    w, v = np.linalg.eigh(_require_symmetric(H))
     eigenvalues = w[::-1].copy()
     eigenvectors = _fix_signs(v[:, ::-1].copy())
     n = eigenvalues.size
-    scale = float(np.max(np.abs(eigenvalues))) if n else 0.0
+    scale = float(np.abs(eigenvalues).max()) if n else 0.0
     zero_tol = n * np.finfo(float).eps * max(1.0, scale)
     n_plus = int(np.count_nonzero(eigenvalues > zero_tol))
     n_minus = int(np.count_nonzero(eigenvalues < -zero_tol))
@@ -112,8 +112,18 @@ def positive_part_pseudoinverse(s: SpectralInfo) -> np.ndarray:
     return (v_plus / s.positive_eigenvalues) @ v_plus.T
 
 
+def _lapack(routine, *args, **kwargs) -> list:
+    """Call a scipy.linalg.lapack routine as scipy.linalg does; info must be 0."""
+    if kwargs.get("lwork") == -1:
+        kwargs["lwork"] = int(routine(*args, **kwargs)[-2][0])
+    *out, info = routine(*args, **kwargs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine.__name__} returned info {info}")
+    return out
+
+
 def newton_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve H v = rhs via QR with column pivoting.
+    """Solve H v = rhs via QR with column pivoting (LAPACK dgeqp3).
 
     A rank-deficient H (trailing ~zero diagonal of R) yields the minimum-norm
     solution of the consistent part of the system.  Non-finite input raises
@@ -124,19 +134,25 @@ def newton_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if not (np.isfinite(H).all() and np.isfinite(rhs).all()):
         raise EvaluationError("matrix or right-hand side has non-finite entries")
     n = H.shape[0]
-    q, r, perm = scipy.linalg.qr(H, pivoting=True)
+    if n == 0:
+        return np.zeros(0)
+    # The LAPACK calls of scipy.linalg.qr(H, pivoting=True) and solve_triangular.
+    qr, jpvt, tau, _ = _lapack(dgeqp3, H, lwork=-1)
+    r = np.triu(qr)
+    q, _ = _lapack(dorgqr, qr, tau, lwork=-1, overwrite_a=1)
     diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
+    if diag[0] == 0.0:
         return np.zeros(n)
     rank = int(np.count_nonzero(diag > n * np.finfo(float).eps * diag[0]))
     c = q.T @ rhs
     if rank == n:
-        z = scipy.linalg.solve_triangular(r, c)
+        # r is C-ordered, so the Fortran routine solves with its transpose.
+        z, = _lapack(dtrtrs, r.T, c, lower=1, trans=1)
     else:
         # Minimum-norm solution of the consistent rows R[:rank] z = c[:rank].
         z, *_ = scipy.linalg.lstsq(r[:rank, :], c[:rank])
     out = np.empty(n)
-    out[perm] = z
+    out[jpvt - 1] = z
     return out
 
 
@@ -144,9 +160,10 @@ def alignment_ratio(s: SpectralInfo, grad: np.ndarray) -> float:
     """Fraction of the gradient lying in the positive eigenspace:
     ||V_plus^T grad|| / ||grad||, in [0, 1]."""
     grad = np.asarray(grad, dtype=float)
-    norm = np.linalg.norm(grad)
+    norm = math.sqrt(grad.dot(grad))
     if norm == 0.0:
         raise ZeroGradientError("gradient is zero; the point is already critical")
     if s.n_plus == 0:
         return 0.0
-    return float(np.linalg.norm(s.positive_vectors.T @ grad) / norm)
+    projected = s.positive_vectors.T @ grad
+    return math.sqrt(projected.dot(projected)) / norm

@@ -333,6 +333,19 @@ def test_search_rejects_non_finite_starting_gradient():
             search(p, np.array([0.5]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_search_rejects_non_finite_starting_value(bad):
+    # A finite neighbourhood around a non-finite start: without the check the
+    # first Armijo test would compare against a non-finite g.
+    start = np.array([0.5])
+    p = Potential(1, lambda x: bad if np.array_equal(x, start) else float(x @ x),
+                  lambda x: 2.0 * x, lambda x: 2.0 * np.eye(1),
+                  np.array([[-1.0, 1.0]]), name="non-finite-start")
+    for search in (minimize, saddle_search, gradient_descent):
+        with pytest.raises(EvaluationError):
+            search(p, start)
+
+
 def test_minimize_budget_exhausted():
     p = make_camel()
     r = minimize(p, np.array([1.9, 0.9]), Tolerances(atol=1e-300, rtol=0.0, max_iterations=3))

@@ -176,6 +176,26 @@ def test_rosenbrock_minimum():
     assert np.allclose(p.gradient(ones), 0.0)
 
 
+def reference_rosenbrock(x):
+    """Value, gradient and tridiagonal Hessian through np.sum, np.zeros_like
+    and index arrays built on each call."""
+    n = x.size
+    value = float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2))
+    g = np.zeros_like(x)
+    diff = x[1:] - x[:-1] ** 2
+    g[:-1] += -400.0 * x[:-1] * diff + 2.0 * (x[:-1] - 1.0)
+    g[1:] += 200.0 * diff
+    h = np.zeros((n, n))
+    d = np.zeros(n)
+    d[:-1] += 1200.0 * x[:-1] ** 2 - 400.0 * x[1:] + 2.0
+    d[1:] += 200.0
+    off = -400.0 * x[:-1]
+    h[np.arange(n), np.arange(n)] = d
+    h[np.arange(n - 1), np.arange(1, n)] = off
+    h[np.arange(1, n), np.arange(n - 1)] = off
+    return value, g, h
+
+
 def test_rosenbrock_hessian_tridiagonal():
     p = make_rosenbrock(8)
     rng = np.random.default_rng(4)
@@ -185,6 +205,18 @@ def test_rosenbrock_hessian_tridiagonal():
             for j in range(8):
                 if abs(i - j) > 1:
                     assert h[i, j] == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 50])
+def test_rosenbrock_matches_reference_bitwise(n):
+    p = make_rosenbrock(n)
+    rng = np.random.default_rng(40 + n)
+    for _ in range(5):
+        x = rng.uniform(-5, 10, n)
+        value, g, h = reference_rosenbrock(x)
+        assert p.value(x) == value
+        assert np.array_equal(p.gradient(x), g)
+        assert np.array_equal(p.hessian(x), h)
 
 
 def test_rosenbrock_requires_dimension():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from ddcid import spectral
 from ddcid.potentials import EvaluationError, make_camel
 from ddcid.spectral import (
     NoPositiveSubspaceError,
@@ -195,6 +197,109 @@ def test_newton_solve_rejects_non_finite(bad):
 
 def test_newton_solve_zero_matrix():
     assert np.allclose(newton_solve(np.zeros((3, 3)), np.ones(3)), np.zeros(3))
+
+
+def test_newton_solve_raises_on_lapack_info(monkeypatch):
+    real = spectral.dgeqp3
+
+    def failing_dgeqp3(*args, **kwargs):
+        *out, info = real(*args, **kwargs)
+        return (*out, -4)
+
+    monkeypatch.setattr(spectral, "dgeqp3", failing_dgeqp3)
+    with pytest.raises(np.linalg.LinAlgError):
+        newton_solve(np.eye(2), np.ones(2))
+    monkeypatch.setattr(spectral, "dgeqp3", real)
+    monkeypatch.setattr(spectral, "dtrtrs", lambda a, b, **kwargs: (np.zeros_like(b), 1))
+    with pytest.raises(np.linalg.LinAlgError):
+        newton_solve(np.eye(2), np.ones(2))
+
+
+# --- bit identity with the scipy.linalg formulation --------------------------
+
+def reference_newton_solve(H, rhs):
+    """newton_solve through scipy.linalg.qr, solve_triangular and lstsq."""
+    n = H.shape[0]
+    q, r, perm = scipy.linalg.qr(H, pivoting=True)
+    diag = np.abs(np.diag(r))
+    if diag.size == 0 or diag[0] == 0.0:
+        return np.zeros(n)
+    rank = int(np.count_nonzero(diag > n * np.finfo(float).eps * diag[0]))
+    c = q.T @ rhs
+    if rank == n:
+        z = scipy.linalg.solve_triangular(r, c)
+    else:
+        z, *_ = scipy.linalg.lstsq(r[:rank, :], c[:rank])
+    out = np.empty(n)
+    out[perm] = z
+    return out
+
+
+def reference_eigendecompose(H):
+    """eigendecompose's results, computed step by step without its shortcuts."""
+    w, v = np.linalg.eigh(0.5 * (H + H.T))
+    eigenvalues = w[::-1].copy()
+    vectors = v[:, ::-1].copy()
+    leading = vectors[(vectors != 0).argmax(axis=0), range(vectors.shape[1])]
+    vectors = np.where(leading < 0, -vectors, vectors)
+    n = eigenvalues.size
+    zero_tol = n * np.finfo(float).eps * max(1.0, float(np.max(np.abs(eigenvalues))))
+    n_plus = int(np.count_nonzero(eigenvalues > zero_tol))
+    n_minus = int(np.count_nonzero(eigenvalues < -zero_tol))
+    return eigenvalues, vectors, (n_plus, n - n_plus - n_minus, n_minus)
+
+
+def oracle_matrices(rng, n):
+    """Full-rank, rank-deficient and zero symmetric matrices of size n, plus
+    a general (nonsymmetric) one for the solver."""
+    full, _ = random_symmetric(rng, n)
+    yield full
+    # Exactly rank-deficient: a random block padded with zero rows and
+    # columns, then permuted; and one with a repeated row and column.
+    k = n // 2
+    padded = np.zeros((n, n))
+    padded[:k, :k] = random_symmetric(rng, k)[0]
+    perm = rng.permutation(n)
+    yield padded[np.ix_(perm, perm)]
+    if n > 1:
+        repeated = full.copy()
+        repeated[-1], repeated[:, -1] = repeated[0], repeated[:, 0]
+        repeated[-1, -1] = repeated[0, 0]
+        yield repeated
+    yield np.zeros((n, n))
+    yield rng.standard_normal((n, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 18, 33, 50])
+def test_newton_solve_matches_scipy_reference_bitwise(n):
+    rng = np.random.default_rng(1000 + n)
+    for _ in range(10):
+        for h in oracle_matrices(rng, n):
+            for rhs in (rng.standard_normal(n), h @ rng.standard_normal(n)):
+                assert np.array_equal(newton_solve(h, rhs), reference_newton_solve(h, rhs))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 18, 33, 50])
+def test_eigendecompose_matches_reference_bitwise(n):
+    rng = np.random.default_rng(2000 + n)
+    for _ in range(10):
+        for h in list(oracle_matrices(rng, n))[:-1]:
+            s = eigendecompose(h)
+            eigenvalues, vectors, inertia = reference_eigendecompose(h)
+            assert np.array_equal(s.eigenvalues, eigenvalues)
+            assert np.array_equal(s.eigenvectors, vectors)
+            assert s.inertia == inertia
+
+
+def test_eigendecompose_sign_rule_skips_zero_leading_components():
+    # Two eigenvectors, (0, 1, +-1)/sqrt(2), start with a zero component.
+    h = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+    s = eigendecompose(h)
+    eigenvalues, vectors, inertia = reference_eigendecompose(h)
+    assert np.array_equal(s.eigenvectors, vectors) and s.inertia == inertia
+    assert np.any(s.eigenvectors[0] == 0.0)
+    for col in s.eigenvectors.T:
+        assert col[np.nonzero(col)[0][0]] > 0
 
 
 # --- alignment_ratio --------------------------------------------------------
