@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .local_search import (
+    BUDGET_EXHAUSTED,
     MisalignedGradientError,
     StepController,
     StepUnderflowError,
@@ -19,7 +20,6 @@ from .potentials import Potential
 from .spectral import NoPositiveSubspaceError, SpectralInfo, eigendecompose, newton_solve
 
 ESCAPED = "escaped"
-BUDGET_EXHAUSTED = "budget_exhausted"
 # Relative gap below which extremal eigenvalues count as repeated.
 EIGENVALUE_MULTIPLICITY_TOL = 1e-8
 
@@ -70,7 +70,7 @@ class TrajectoryStep:
     inertia: tuple[int, int, int]
     predictor: np.ndarray | None = None   # deterministic part of the move
     step_size: float | None = None
-    predictor_aux: float | None = None    # G at the accepted predictor
+    predictor_aux: float | None = None    # G at the accepted predictor, if evaluated
 
 
 @dataclass
@@ -140,11 +140,10 @@ def _descent_predictor(grad: np.ndarray, hess: np.ndarray, s: SpectralInfo,
     when the gradient has a meaningful positive-subspace component;
     otherwise a gradient step, which must decrease g.  None at an exact
     critical point, where no predictor exists."""
-    grad_norm = float(np.linalg.norm(grad))
-    if grad_norm == 0.0:
+    if last.aux_value == 0.0:
         return None
     try:
-        return -double_descent_direction(grad, s), last.value, 0.5 * grad_norm ** 2
+        return -double_descent_direction(grad, s), last.value, last.aux_value
     except (NoPositiveSubspaceError, MisalignedGradientError):
         return grad, last.value, None
 
@@ -180,15 +179,16 @@ def _escape(p: Potential, x0: np.ndarray, cfg: DiffusionConfig, noise: NoiseSour
     which = "largest" if from_minimum else "smallest"
     predictor = _newton_predictor if from_minimum else _descent_predictor
     x = initial_kick(x0, _extremal_direction(s, which, noise), cfg.alpha, noise)
-    steps = 1
-    grad = np.asarray(p.gradient(x), dtype=float)
-    trajectory = [TrajectoryStep(1, x, float(p.value(x)), _aux(grad), s.inertia)]
+    trajectory: list[TrajectoryStep] = []
+    extra = {}
 
     while True:
+        grad = np.asarray(p.gradient(x), dtype=float)
+        value = float(p.value(x))
         hess = p.hessian(x)
         s = eigendecompose(hess)
-        # the trajectory entry was appended before its inertia was known
-        trajectory[-1].inertia = s.inertia
+        steps = len(trajectory) + 1
+        trajectory.append(TrajectoryStep(steps, x, value, _aux(grad), s.inertia, **extra))
         # From a minimum, stop at the first negative eigenvalue; from a
         # saddle, once none is left.
         if (s.n_minus != 0 if from_minimum else s.n_minus == 0):
@@ -206,14 +206,9 @@ def _escape(p: Potential, x0: np.ndarray, cfg: DiffusionConfig, noise: NoiseSour
             if found is None:
                 raise StepUnderflowError("deterministic predictor line search underflowed")
             h, (x_hat, grad_hat) = found
-            if grad_hat is None:
-                grad_hat = np.asarray(p.gradient(x_hat), dtype=float)
             x = x_hat + cfg.alpha * math.sqrt(h) * colored_noise(s, which, noise)
-            extra = dict(predictor=x_hat, step_size=h, predictor_aux=_aux(grad_hat))
-        steps += 1
-        grad = np.asarray(p.gradient(x), dtype=float)
-        trajectory.append(TrajectoryStep(steps, x, float(p.value(x)), _aux(grad), s.inertia,
-                                         **extra))
+            extra = dict(predictor=x_hat, step_size=h,
+                         predictor_aux=None if grad_hat is None else _aux(grad_hat))
 
 
 def escape_minimum(p: Potential, x_min: np.ndarray, cfg: DiffusionConfig,

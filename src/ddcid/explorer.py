@@ -20,7 +20,6 @@ from .diffusion import (
 )
 from .local_search import (
     CONVERGED,
-    LocalSearchResult,
     StepUnderflowError,
     Tolerances,
     minimize,
@@ -80,9 +79,12 @@ def classify(p: Potential, x: np.ndarray, grad_tol: float = 1e-5) -> CriticalPoi
 
     Rejects points whose gradient norm exceeds ``grad_tol``; with
     ``grad_tol=math.inf`` it describes any point, as the baselines use it.
+    A non-finite gradient raises EvaluationError.
     """
     x = np.asarray(x, dtype=float)
     grad_norm = float(np.linalg.norm(p.gradient(x)))
+    if not math.isfinite(grad_norm):
+        raise EvaluationError("non-finite gradient at the point to classify")
     if grad_norm > grad_tol:
         raise NotCriticalError(f"gradient norm {grad_norm:.3e} above {grad_tol:.3e}")
     s = eigendecompose(p.hessian(x))
@@ -101,16 +103,14 @@ class CriticalPointTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def find(self, x: np.ndarray) -> CriticalPoint | None:
-        for entry in self.entries:
-            d = entry.location - x
-            if math.sqrt(d.dot(d)) < self.dedup_radius:
-                return entry
-        return None
-
     def record(self, cp: CriticalPoint) -> CriticalPoint:
-        existing = self.find(cp.location)
-        if existing is None:
+        """Append ``cp``, or merge it into the first entry within the dedup
+        radius; returns the entry that holds it."""
+        for existing in self.entries:
+            d = existing.location - cp.location
+            if math.sqrt(d.dot(d)) < self.dedup_radius:
+                break
+        else:
             self.entries.append(cp)
             return cp
         existing.occurrences += cp.occurrences
@@ -235,24 +235,19 @@ class _Explorer:
         self.noise = NoiseSource(cfg.seed)
         self.table = CriticalPointTable(default_dedup_radius(p.search_region))
 
-    def _draw_start(self) -> np.ndarray:
+    def _draw_start(self) -> np.ndarray | None:
+        """A draw from the search box with finite g and a sane gradient, or None."""
         for _ in range(_MAX_DRAW_TRIES):
             x = self.noise.uniform_box(self.p.search_region)
             try:
                 if not np.isfinite(self.p.value(x)):
                     continue
-                if np.linalg.norm(self.p.gradient(x)) > _SANE_GRADIENT:
+                if not np.linalg.norm(self.p.gradient(x)) <= _SANE_GRADIENT:   # also NaN
                     continue
             except EvaluationError:
                 continue
             return x
-        raise RuntimeError("could not draw a usable starting point")
-
-    def _classify_and_record(self, result: LocalSearchResult) -> tuple[CriticalPoint, bool]:
-        grad_tol = self.cfg.tolerances.threshold(result.initial_grad_norm)
-        cp = classify(self.p, result.final_point, grad_tol)
-        is_new = self.table.find(cp.location) is None
-        return self.table.record(cp), is_new
+        return None
 
     def _search_and_record(self, search, x0: np.ndarray,
                            stats: AttemptStats) -> tuple[CriticalPoint, bool] | None:
@@ -264,7 +259,10 @@ class _Explorer:
             stats.search_iteration_counts.append(result.iterations)
             if result.outcome != CONVERGED:
                 return None
-            return self._classify_and_record(result)
+            grad_tol = self.cfg.tolerances.threshold(result.initial_grad_norm)
+            cp = classify(self.p, result.final_point, grad_tol)
+            before = len(self.table)
+            return self.table.record(cp), len(self.table) > before
         except (EvaluationError, NotCriticalError):
             return None
         finally:
@@ -273,11 +271,8 @@ class _Explorer:
     def _fresh_search(self, stats: AttemptStats) -> tuple[CriticalPoint, bool] | None:
         """Minimize from a random point in the search box; None on failure."""
         stats.episodes.append("fresh->minimize")
-        try:
-            x0 = self._draw_start()
-        except RuntimeError:
-            return None
-        return self._search_and_record(minimize, x0, stats)
+        x0 = self._draw_start()
+        return None if x0 is None else self._search_and_record(minimize, x0, stats)
 
     def _escape_attempt(self, entry: CriticalPoint,
                         stats: AttemptStats) -> tuple[CriticalPoint, bool] | None:
@@ -305,47 +300,42 @@ class _Explorer:
             stats.rose_above_source = bool(found[0].value > entry.value)
         return found
 
-    def _escape_loop(self, stats: AttemptStats) -> CriticalPoint | None:
-        """One budgeted attempt: escape a random entry; on failure or on
-        re-finding a known point, retry from a different random entry while
-        the restart budget lasts."""
-        recorded = None
-        previous = None
+    def _attempt(self, stats: AttemptStats) -> CriticalPoint | None:
+        """One budgeted attempt of up to max_restarts + 1 episodes, until one
+        records a new point.  Each episode is a fresh search when the table
+        was empty at the start, else an escape from a random entry (on a
+        retry, a different one when there is a choice).  When only known
+        points were found, the last stands; when every escape failed
+        outright, one fresh search is the fallback."""
+        fresh = not self.table.entries
+        recorded = previous = None
         for retry in range(self.cfg.max_restarts + 1):
-            entry = select_escape_target(self.table, self.noise)
-            if entry is previous and len(self.table) > 1:
-                others = [e for e in self.table.entries if e is not previous]
-                entry = others[self.noise.integer(len(others))]
-            outcome = self._escape_attempt(entry, stats)
-            previous = entry
-            if outcome is not None:
-                recorded, is_new = outcome
+            if retry:
+                stats.restarts += 1
+            if fresh:
+                found = self._fresh_search(stats)
+            else:
+                entry = select_escape_target(self.table, self.noise)
+                if entry is previous and len(self.table) > 1:
+                    others = [e for e in self.table.entries if e is not previous]
+                    entry = others[self.noise.integer(len(others))]
+                found = self._escape_attempt(entry, stats)
+                previous = entry
+            if found is not None:
+                recorded, is_new = found
                 if is_new:
                     return recorded
-            if retry < self.cfg.max_restarts:
-                stats.restarts += 1
-        if recorded is not None:
-            return recorded          # only duplicates found; the last stands
-        # Every escape failed outright: fall back to a fresh random start.
-        fresh = self._fresh_search(stats)
-        return fresh[0] if fresh is not None else None
+        if recorded is None and not fresh:
+            found = self._fresh_search(stats)
+            recorded = found[0] if found is not None else None
+        return recorded
 
     def run(self) -> RunReport:
         start = time.perf_counter()
         attempts: list[AttemptStats] = []
         for index in range(1, self.cfg.max_critical_points + 1):
             stats = AttemptStats(index=index, source="fresh")
-            recorded = None
-            if not self.table.entries:
-                for retry in range(self.cfg.max_restarts + 1):
-                    fresh = self._fresh_search(stats)
-                    if fresh is not None:
-                        recorded = fresh[0]
-                        break
-                    if retry < self.cfg.max_restarts:
-                        stats.restarts += 1
-            else:
-                recorded = self._escape_loop(stats)
+            recorded = self._attempt(stats)
             if recorded is not None:
                 stats.outcome = "recorded"
                 stats.recorded_kind = recorded.kind

@@ -214,7 +214,7 @@ class _Search:
 
     def try_step(self, direction_name: str, h: float, v: np.ndarray,
                  slope: float | None, lower_aux: bool):
-        """Evaluate x + h v; return the step to commit, or None.
+        """Evaluate x + h v; return the step (with its g, grad g and G) or None.
 
         The step needs finite g and grad g.  Unless ``slope`` is None, g must
         decrease appreciably: g_new <= g - SUFFICIENT_DECREASE h slope.  With
@@ -230,9 +230,10 @@ class _Search:
         grad_new = np.asarray(self.p.gradient(candidate), dtype=float)
         if not np.isfinite(grad_new).all():
             return None
-        if lower_aux and not 0.5 * float(grad_new @ grad_new) < self.aux:
+        aux_new = 0.5 * float(grad_new @ grad_new)
+        if lower_aux and not aux_new < self.aux:
             return None
-        return direction_name, v, candidate, g_new, grad_new
+        return direction_name, v, candidate, g_new, grad_new, aux_new
 
     def run(self, next_attempt) -> LocalSearchResult:
         """Iterate to convergence.  Each iteration line-searches the attempt
@@ -246,10 +247,9 @@ class _Search:
             found = _damped_step(self.ctrl, attempt) if attempt is not None else None
             if found is None:
                 return self.result(STEP_UNDERFLOW)
-            h, (direction_name, v, candidate, g_new, grad_new) = found
+            h, (direction_name, v, candidate, g_new, grad_new, aux_new) = found
             prev = self.x
-            self.x, self.value, self.grad = candidate, g_new, grad_new
-            self.aux = 0.5 * float(grad_new @ grad_new)
+            self.x, self.value, self.grad, self.aux = candidate, g_new, grad_new, aux_new
             self.ctrl.accept()
             self.history.append(StepInfo(
                 direction=direction_name, step_size=h, point=candidate,

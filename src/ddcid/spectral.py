@@ -12,6 +12,9 @@ from scipy.linalg.lapack import dgeqp3, dorgqr, dtrtrs
 
 from .potentials import EvaluationError
 
+_EPS = float(np.finfo(float).eps)
+_SQRT_EPS = math.sqrt(_EPS)
+
 
 class NotSymmetricError(ValueError):
     """Input matrix is not symmetric within tolerance."""
@@ -67,7 +70,7 @@ def _require_symmetric(H: np.ndarray) -> np.ndarray:
     if not math.isfinite(scale):
         raise EvaluationError("matrix has non-finite entries")
     asym = np.abs(H - H.T).max() if H.size else 0.0
-    tol = np.sqrt(np.finfo(float).eps) * max(1.0, scale)
+    tol = _SQRT_EPS * max(1.0, scale)
     if asym > tol:
         raise NotSymmetricError(f"matrix asymmetry {asym:.3e} exceeds tolerance {tol:.3e}")
     return 0.5 * (H + H.T)
@@ -93,7 +96,7 @@ def eigendecompose(H: np.ndarray) -> SpectralInfo:
     eigenvectors = _fix_signs(v[:, ::-1].copy())
     n = eigenvalues.size
     scale = float(np.abs(eigenvalues).max()) if n else 0.0
-    zero_tol = n * np.finfo(float).eps * max(1.0, scale)
+    zero_tol = n * _EPS * max(1.0, scale)
     n_plus = int(np.count_nonzero(eigenvalues > zero_tol))
     n_minus = int(np.count_nonzero(eigenvalues < -zero_tol))
     return SpectralInfo(eigenvalues, eigenvectors, (n_plus, n - n_plus - n_minus, n_minus))
@@ -143,7 +146,7 @@ def newton_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     diag = np.abs(np.diag(r))
     if diag[0] == 0.0:
         return np.zeros(n)
-    rank = int(np.count_nonzero(diag > n * np.finfo(float).eps * diag[0]))
+    rank = int(np.count_nonzero(diag > n * _EPS * diag[0]))
     c = q.T @ rhs
     if rank == n:
         # r is C-ordered, so the Fortran routine solves with its transpose.

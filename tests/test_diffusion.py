@@ -266,6 +266,37 @@ def test_escape_minimum_noise_is_rank_one():
             assert np.linalg.norm(residual) < 1e-12 * max(1.0, np.linalg.norm(increment))
 
 
+def test_escape_trajectory_records_each_step_once_with_its_inertia():
+    p = make_molei()
+    for seed in range(10):
+        for escape, x0 in ((escape_minimum, [1.0, 0.0]), (escape_saddle, [0.0, 1.0])):
+            esc = escape(p, np.array(x0), DiffusionConfig(), NoiseSource(seed))
+            assert esc.steps == len(esc.trajectory)
+            assert [t.index for t in esc.trajectory] == list(range(1, esc.steps + 1))
+            assert np.array_equal(esc.trajectory[-1].point, esc.point)
+            for step in esc.trajectory:
+                assert step.inertia == eigendecompose(p.hessian(step.point)).inertia
+            if escape is escape_minimum:
+                # The Newton predictor's line search always evaluates G.
+                assert all(t.predictor_aux is not None
+                           for t in esc.trajectory if t.predictor is not None)
+
+
+def test_escape_saddle_gradient_step_predictor_has_no_aux():
+    # g = (x^2 - y^2) / 2.  The kick from the saddle is along y, where the
+    # gradient has no positive-subspace part, so every predictor is a plain
+    # gradient step: its line search tests g only and evaluates no gradient.
+    p = Potential(2, lambda x: 0.5 * (x[0] ** 2 - x[1] ** 2), lambda x: np.array([x[0], -x[1]]),
+                  lambda x: np.diag([1.0, -1.0]), np.array([[-1.0, 1.0], [-1.0, 1.0]]),
+                  name="saddle2d")
+    esc = escape_saddle(p, np.zeros(2), DiffusionConfig(max_diffusive_steps=5), NoiseSource(0))
+    assert esc.outcome == BUDGET_EXHAUSTED and esc.steps == 5
+    for prev, step in zip(esc.trajectory, esc.trajectory[1:]):
+        assert np.array_equal(step.predictor,
+                              prev.point - step.step_size * p.gradient(prev.point))
+        assert step.predictor_aux is None
+
+
 def test_escape_trajectories_reproducible():
     p = make_molei()
     for seed in range(10):

@@ -25,7 +25,7 @@ from ddcid.explorer import (
     kind_from_inertia,
     select_escape_target,
 )
-from ddcid.local_search import Tolerances
+from ddcid.local_search import StepUnderflowError, Tolerances
 from ddcid.potentials import EvaluationError, Potential, make_camel, make_molei
 from ddcid.spectral import eigendecompose
 
@@ -88,6 +88,17 @@ def test_classify_camel_rows():
 def test_classify_rejects_noncritical():
     with pytest.raises(NotCriticalError):
         classify(make_camel(), np.array([0.5, 0.5]))
+
+
+def test_classify_rejects_non_finite_gradient():
+    # A NaN gradient norm passes a `> grad_tol` test, so with a finite
+    # Hessian the point would be classified with a NaN gradient norm.
+    base = make_molei()
+    p = Potential(2, base.value, lambda x: np.full(2, math.nan), base.hessian,
+                  base.search_region, name="molei-nan-gradient")
+    for grad_tol in (1e-5, math.inf):
+        with pytest.raises(EvaluationError):
+            classify(p, MOLEI_POINTS["min+"], grad_tol)
 
 
 # --- table ----------------------------------------------------------------------
@@ -264,6 +275,42 @@ def test_explore_counts_restarts_when_every_fresh_start_fails(max_restarts):
     assert all(a.restarts == max_restarts for a in rep.attempts)
     assert all(len(a.episodes) == max_restarts + 1 for a in rep.attempts)
     assert json.loads(rep.to_json())["summary"]["best_value"] is None
+
+
+def test_explore_redraws_starts_with_non_finite_gradient():
+    # molei whose gradient is NaN left of x = 0.  A start drawn there is
+    # drawn again, not handed to a search that fails on it and costs a restart.
+    base = make_molei()
+
+    def gradient(x):
+        return base.gradient(x) * (math.nan if x[0] < 0.0 else 1.0)
+
+    p = Potential(2, base.value, gradient, base.hessian, base.search_region, name="molei-half-nan")
+    for seed in range(10):
+        first = explore(p, ExplorationConfig(max_critical_points=1, seed=seed)).attempts[0]
+        assert (first.outcome, first.restarts) == ("recorded", 0)
+
+
+@pytest.mark.parametrize("max_restarts", [0, 3])
+def test_attempt_falls_back_to_one_fresh_search_when_every_escape_fails(monkeypatch,
+                                                                       max_restarts):
+    def fail(*args):
+        raise StepUnderflowError("scripted escape failure")
+
+    monkeypatch.setattr("ddcid.explorer.escape_minimum", fail)
+    monkeypatch.setattr("ddcid.explorer.escape_saddle", fail)
+    rep = explore(make_molei(), ExplorationConfig(max_critical_points=3, seed=0,
+                                                  max_restarts=max_restarts))
+    first, *rest = rep.attempts
+    assert first.episodes == ["fresh->minimize"] and first.restarts == 0
+    for a in rest:
+        *escapes, last = a.episodes
+        assert len(escapes) == max_restarts + 1
+        assert all(e in ("minimum->saddle_search", "saddle->minimize") for e in escapes)
+        assert last == "fresh->minimize"
+        assert a.restarts == max_restarts
+        assert a.diffusive_step_counts == [] and a.escape_outcome is None
+        assert len(a.search_iteration_counts) == 1
 
 
 def test_report_json_round_trip():
