@@ -108,10 +108,10 @@ def _cmd_trace(args) -> int:
     if result.outcome != CONVERGED:
         print(f"initial minimization did not converge ({result.outcome})", file=sys.stderr)
         return 1
-    esc = escape_minimum(p, result.final_point, DiffusionConfig(alpha=args.alpha), noise)
+    esc = escape_minimum(p, result.final, DiffusionConfig(alpha=args.alpha), noise)
     path = _output_path(args.out, args.problem, "trace", "csv")
     write_trajectory_csv(esc.trajectory, path)
-    print(f"minimum at g={result.final_value:.6g}; escape ({esc.outcome}) after "
+    print(f"minimum at g={result.final.value:.6g}; escape ({esc.outcome}) after "
           f"{esc.steps} diffusive steps; trajectory written to {path}")
     return 0
 

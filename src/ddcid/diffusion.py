@@ -11,13 +11,15 @@ import numpy as np
 from .local_search import (
     BUDGET_EXHAUSTED,
     MisalignedGradientError,
+    Point,
     StepController,
     StepUnderflowError,
     _damped_step,
     double_descent_direction,
+    evaluate,
 )
 from .potentials import Potential
-from .spectral import NoPositiveSubspaceError, SpectralInfo, eigendecompose, newton_solve
+from .spectral import NoPositiveSubspaceError, SpectralInfo, newton_solve
 
 ESCAPED = "escaped"
 # Relative gap below which extremal eigenvalues count as repeated.
@@ -75,7 +77,7 @@ class TrajectoryStep:
 
 @dataclass
 class EscapeResult:
-    point: np.ndarray
+    final: Point                  # the last iterate, with its evaluations
     steps: int
     outcome: str
     trajectory: list[TrajectoryStep] = field(default_factory=list)
@@ -124,35 +126,29 @@ def white_noise_id_step(p: Potential, x: np.ndarray, h: float, sigma: float,
     return x - h * np.asarray(p.gradient(x), dtype=float) + math.sqrt(h) * sigma * noise.normal(x.size)
 
 
-def _aux(grad: np.ndarray) -> float:
-    return 0.5 * float(grad @ grad)
-
-
-def _newton_predictor(grad: np.ndarray, hess: np.ndarray, s: SpectralInfo,
-                      last: TrajectoryStep):
+def _newton_predictor(at: Point):
     """From a minimum: x_hat = x - h H^dagger grad g, which must decrease G."""
-    return newton_solve(hess, grad), None, last.aux_value
+    return newton_solve(at.hessian, at.grad), None, at.aux
 
 
-def _descent_predictor(grad: np.ndarray, hess: np.ndarray, s: SpectralInfo,
-                       last: TrajectoryStep):
+def _descent_predictor(at: Point):
     """From a saddle: the double-descent step, which must decrease g and G,
     when the gradient has a meaningful positive-subspace component;
     otherwise a gradient step, which must decrease g.  None at an exact
     critical point, where no predictor exists."""
-    if last.aux_value == 0.0:
+    if at.aux == 0.0:
         return None
     try:
-        return -double_descent_direction(grad, s), last.value, last.aux_value
+        return -double_descent_direction(at.grad, at.spectral), at.value, at.aux
     except (NoPositiveSubspaceError, MisalignedGradientError):
-        return grad, last.value, None
+        return at.grad, at.value, None
 
 
 def _predictor_attempt(p: Potential, x: np.ndarray, direction: np.ndarray,
                        g_bound: float | None, aux_bound: float | None):
     """Attempt at x - h direction for the damped line search, accepted when
     it lowers g below ``g_bound`` and G below ``aux_bound`` (a None bound is
-    not tested).  Returns the candidate and its gradient, if evaluated."""
+    not tested).  Returns the candidate and its G, if evaluated."""
     def attempt(h):
         cand = x - h * direction
         if g_bound is not None and not float(p.value(cand)) < g_bound:
@@ -160,58 +156,56 @@ def _predictor_attempt(p: Potential, x: np.ndarray, direction: np.ndarray,
         if aux_bound is None:
             return cand, None
         grad = np.asarray(p.gradient(cand), dtype=float)
-        return (cand, grad) if _aux(grad) < aux_bound else None
+        aux = 0.5 * float(grad @ grad)
+        return (cand, aux) if aux < aux_bound else None
     return attempt
 
 
-def _escape(p: Potential, x0: np.ndarray, cfg: DiffusionConfig, noise: NoiseSource,
-            from_minimum: bool) -> EscapeResult:
+def _escape(p: Potential, x0: Point | np.ndarray, cfg: DiffusionConfig,
+            noise: NoiseSource, from_minimum: bool) -> EscapeResult:
     """The escape loop shared by both sides: kick along the extremal
     eigendirection (largest from a minimum, smallest from a saddle), then
     take damped predictor steps, each followed by rank-one noise along that
     direction, until the inertia changes or the diffusive budget runs out."""
-    x0 = np.asarray(x0, dtype=float)
-    s = eigendecompose(p.hessian(x0))
+    start = evaluate(p, x0)
+    s = start.spectral
     if (s.n_minus == 0 and s.n_zero == 0) != from_minimum:
         raise InertiaMismatchError(
             f"escape_minimum needs a strict minimum, got inertia {s.inertia}" if from_minimum
             else f"escape_saddle cannot start from a strict minimum, inertia {s.inertia}")
     which = "largest" if from_minimum else "smallest"
     predictor = _newton_predictor if from_minimum else _descent_predictor
-    x = initial_kick(x0, _extremal_direction(s, which, noise), cfg.alpha, noise)
+    x = initial_kick(start.x, _extremal_direction(s, which, noise), cfg.alpha, noise)
     trajectory: list[TrajectoryStep] = []
     extra = {}
 
     while True:
-        grad = np.asarray(p.gradient(x), dtype=float)
-        value = float(p.value(x))
-        hess = p.hessian(x)
-        s = eigendecompose(hess)
+        at = evaluate(p, x)
+        s = at.spectral
         steps = len(trajectory) + 1
-        trajectory.append(TrajectoryStep(steps, x, value, _aux(grad), s.inertia, **extra))
+        trajectory.append(TrajectoryStep(steps, at.x, at.value, at.aux, s.inertia, **extra))
         # From a minimum, stop at the first negative eigenvalue; from a
         # saddle, once none is left.
         if (s.n_minus != 0 if from_minimum else s.n_minus == 0):
-            return EscapeResult(x, steps, ESCAPED, trajectory)
+            return EscapeResult(at, steps, ESCAPED, trajectory)
         if steps >= cfg.max_diffusive_steps:
-            return EscapeResult(x, steps, BUDGET_EXHAUSTED, trajectory)
+            return EscapeResult(at, steps, BUDGET_EXHAUSTED, trajectory)
 
-        predicted = predictor(grad, hess, s, trajectory[-1])
+        predicted = predictor(at)
         if predicted is None:
             # Landed exactly on a critical point: only the noise can move us.
-            x = initial_kick(x, _extremal_direction(s, which, noise), cfg.alpha, noise)
+            x = initial_kick(at.x, _extremal_direction(s, which, noise), cfg.alpha, noise)
             extra = {}
         else:
-            found = _damped_step(StepController(), _predictor_attempt(p, x, *predicted))
+            found = _damped_step(StepController(), _predictor_attempt(p, at.x, *predicted))
             if found is None:
                 raise StepUnderflowError("deterministic predictor line search underflowed")
-            h, (x_hat, grad_hat) = found
+            h, (x_hat, aux_hat) = found
             x = x_hat + cfg.alpha * math.sqrt(h) * colored_noise(s, which, noise)
-            extra = dict(predictor=x_hat, step_size=h,
-                         predictor_aux=None if grad_hat is None else _aux(grad_hat))
+            extra = dict(predictor=x_hat, step_size=h, predictor_aux=aux_hat)
 
 
-def escape_minimum(p: Potential, x_min: np.ndarray, cfg: DiffusionConfig,
+def escape_minimum(p: Potential, x_min: Point | np.ndarray, cfg: DiffusionConfig,
                    noise: NoiseSource) -> EscapeResult:
     """Leave the basin of a strict minimum via a kick along the dominant
     eigendirection followed by diffused damped-Newton steps.
@@ -224,7 +218,7 @@ def escape_minimum(p: Potential, x_min: np.ndarray, cfg: DiffusionConfig,
     return _escape(p, x_min, cfg, noise, from_minimum=True)
 
 
-def escape_saddle(p: Potential, x_sad: np.ndarray, cfg: DiffusionConfig,
+def escape_saddle(p: Potential, x_sad: Point | np.ndarray, cfg: DiffusionConfig,
                   noise: NoiseSource) -> EscapeResult:
     """Leave a saddle (or maximum) via a kick along the weakest
     eigendirection followed by diffused descent steps.

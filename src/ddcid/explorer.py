@@ -20,13 +20,14 @@ from .diffusion import (
 )
 from .local_search import (
     CONVERGED,
+    Point,
     StepUnderflowError,
     Tolerances,
+    evaluate,
     minimize,
     saddle_search,
 )
 from .potentials import EvaluationError, Potential
-from .spectral import eigendecompose
 
 KIND_MINIMUM = "minimum"
 KIND_SADDLE = "saddle"
@@ -61,6 +62,7 @@ class CriticalPoint:
     gradient_norm: float
     inertia: tuple[int, int, int]
     kind: str
+    point: Point | None = field(repr=False, compare=False)   # its evaluations; not reported
     occurrences: int = 1
 
     def as_dict(self) -> dict:
@@ -74,22 +76,19 @@ class CriticalPoint:
         }
 
 
-def classify(p: Potential, x: np.ndarray, grad_tol: float = 1e-5) -> CriticalPoint:
+def classify(p: Potential, x: Point | np.ndarray, grad_tol: float = 1e-5) -> CriticalPoint:
     """Classify a (near-)critical point by the inertia of its Hessian.
 
     Rejects points whose gradient norm exceeds ``grad_tol``; with
     ``grad_tol=math.inf`` it describes any point, as the baselines use it.
-    A non-finite gradient raises EvaluationError.
+    A non-finite value or gradient raises EvaluationError.
     """
-    x = np.asarray(x, dtype=float)
-    grad_norm = float(np.linalg.norm(p.gradient(x)))
-    if not math.isfinite(grad_norm):
-        raise EvaluationError("non-finite gradient at the point to classify")
+    at = evaluate(p, x)
+    grad_norm = float(np.linalg.norm(at.grad))
     if grad_norm > grad_tol:
         raise NotCriticalError(f"gradient norm {grad_norm:.3e} above {grad_tol:.3e}")
-    s = eigendecompose(p.hessian(x))
-    return CriticalPoint(x.copy(), float(p.value(x)), grad_norm, s.inertia,
-                         kind_from_inertia(s.inertia))
+    s = at.spectral
+    return CriticalPoint(at.x, at.value, grad_norm, s.inertia, kind_from_inertia(s.inertia), at)
 
 
 @dataclass
@@ -115,12 +114,9 @@ class CriticalPointTable:
             return cp
         existing.occurrences += cp.occurrences
         if cp.gradient_norm < existing.gradient_norm:
-            # Keep the sharper representative.
-            existing.location = cp.location
-            existing.value = cp.value
-            existing.gradient_norm = cp.gradient_norm
-            existing.inertia = cp.inertia
-            existing.kind = cp.kind
+            # Keep the sharper representative, with its evaluations.
+            for name in ("location", "value", "gradient_norm", "inertia", "kind", "point"):
+                setattr(existing, name, getattr(cp, name))
         return existing
 
     def minima(self) -> list[CriticalPoint]:
@@ -235,32 +231,29 @@ class _Explorer:
         self.noise = NoiseSource(cfg.seed)
         self.table = CriticalPointTable(default_dedup_radius(p.search_region))
 
-    def _draw_start(self) -> np.ndarray | None:
+    def _draw_start(self) -> Point | None:
         """A draw from the search box with finite g and a sane gradient, or None."""
         for _ in range(_MAX_DRAW_TRIES):
-            x = self.noise.uniform_box(self.p.search_region)
             try:
-                if not np.isfinite(self.p.value(x)):
-                    continue
-                if not np.linalg.norm(self.p.gradient(x)) <= _SANE_GRADIENT:   # also NaN
-                    continue
+                start = evaluate(self.p, self.noise.uniform_box(self.p.search_region))
             except EvaluationError:
                 continue
-            return x
+            if np.linalg.norm(start.grad) <= _SANE_GRADIENT:
+                return start
         return None
 
-    def _search_and_record(self, search, x0: np.ndarray,
+    def _search_and_record(self, search, start: Point,
                            stats: AttemptStats) -> tuple[CriticalPoint, bool] | None:
-        """Run ``search`` from x0 and record the critical point it converges
+        """Run ``search`` from ``start`` and record the critical point it converges
         to, with whether it is new; None on failure."""
         t0 = time.perf_counter()
         try:
-            result = search(self.p, x0, self.cfg.tolerances)
+            result = search(self.p, start, self.cfg.tolerances)
             stats.search_iteration_counts.append(result.iterations)
             if result.outcome != CONVERGED:
                 return None
             grad_tol = self.cfg.tolerances.threshold(result.initial_grad_norm)
-            cp = classify(self.p, result.final_point, grad_tol)
+            cp = classify(self.p, result.final, grad_tol)
             before = len(self.table)
             return self.table.record(cp), len(self.table) > before
         except (EvaluationError, NotCriticalError):
@@ -271,8 +264,8 @@ class _Explorer:
     def _fresh_search(self, stats: AttemptStats) -> tuple[CriticalPoint, bool] | None:
         """Minimize from a random point in the search box; None on failure."""
         stats.episodes.append("fresh->minimize")
-        x0 = self._draw_start()
-        return None if x0 is None else self._search_and_record(minimize, x0, stats)
+        start = self._draw_start()
+        return None if start is None else self._search_and_record(minimize, start, stats)
 
     def _escape_attempt(self, entry: CriticalPoint,
                         stats: AttemptStats) -> tuple[CriticalPoint, bool] | None:
@@ -285,7 +278,7 @@ class _Explorer:
                           else (escape_saddle, minimize))
         t0 = time.perf_counter()
         try:
-            esc = escape(self.p, entry.location, self.cfg.diffusion, self.noise)
+            esc = escape(self.p, entry.point, self.cfg.diffusion, self.noise)
         except (StepUnderflowError, EvaluationError, InertiaMismatchError):
             return None
         finally:
@@ -295,7 +288,7 @@ class _Explorer:
 
         # Even when the diffusion budget ran out we proceed with the search
         # and record whatever critical point results.
-        found = self._search_and_record(search, esc.point, stats)
+        found = self._search_and_record(search, esc.final, stats)
         if found is not None:
             stats.rose_above_source = bool(found[0].value > entry.value)
         return found

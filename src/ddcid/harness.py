@@ -124,7 +124,7 @@ def monte_carlo_descent(p: Potential, starts: int, tol: Tolerances,
             result = gradient_descent(p, x0, tol)
             if result.outcome != CONVERGED:
                 continue
-            table.record(classify(p, result.final_point, grad_tol=math.inf))
+            table.record(classify(p, result.final, grad_tol=math.inf))
         except EvaluationError:
             continue
     return table.entries
@@ -140,8 +140,8 @@ def white_noise_intermittent_descent(p: Potential, cycles: int, noise: NoiseSour
         try:
             result = gradient_descent(p, x, tol)
             if result.outcome == CONVERGED:
-                table.record(classify(p, result.final_point, grad_tol=math.inf))
-                x = result.final_point
+                table.record(classify(p, result.final, grad_tol=math.inf))
+                x = result.final.x
             for _ in range(WHITE_NOISE_BURST_STEPS):
                 x = white_noise_id_step(p, x, WHITE_NOISE_BURST_H, WHITE_NOISE_SIGMA, noise)
         except EvaluationError:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +93,45 @@ class Tolerances:
         return self.atol + reference_norm * self.rtol
 
 
+@dataclass(eq=False)
+class Point:
+    """A point x with g, grad g and G = |grad g|^2 / 2 at x.  Its Hessian and
+    that Hessian's eigendecomposition are computed at most once, on first
+    use, so each stage that hands the point on shares its evaluations."""
+
+    p: Potential = field(repr=False)
+    x: np.ndarray
+    value: float
+    grad: np.ndarray
+
+    def __post_init__(self):
+        self.aux = 0.5 * float(self.grad @ self.grad)
+
+    @cached_property
+    def hessian(self) -> np.ndarray:
+        return self.p.hessian(self.x)
+
+    @cached_property
+    def spectral(self) -> SpectralInfo:
+        return eigendecompose(self.hessian)
+
+
+def evaluate(p: Potential, x: Point | np.ndarray) -> Point:
+    """The point x with g and grad g evaluated, or x itself when it already
+    is a Point: the conversion each public entry point makes once, at its
+    boundary.  Raises EvaluationError when g or grad g is not finite."""
+    if isinstance(x, Point):
+        return x
+    x = np.array(x, dtype=float)
+    value = float(p.value(x))
+    if not math.isfinite(value):
+        raise EvaluationError("non-finite value")
+    grad = np.asarray(p.gradient(x), dtype=float)
+    if not np.isfinite(grad).all():
+        raise EvaluationError("non-finite gradient")
+    return Point(p, x, value, grad)
+
+
 @dataclass
 class StepInfo:
     """One accepted iteration, for diagnostics and trajectory dumps."""
@@ -107,11 +147,10 @@ class StepInfo:
 
 @dataclass
 class LocalSearchResult:
-    final_point: np.ndarray
+    final: Point                  # where the search stopped, with its evaluations
     iterations: int
     outcome: str
     history: list[StepInfo] = field(default_factory=list)
-    final_value: float = math.nan
     initial_grad_norm: float = math.nan
 
 
@@ -176,90 +215,64 @@ def _damped_step(ctrl: StepController, attempt):
         ctrl.reject()
 
 
-class _Search:
-    """Shared state and iteration of the damped direction-based searches."""
+def _try_step(at: Point, direction_name: str, h: float, v: np.ndarray,
+              slope: float | None, lower_aux: bool):
+    """Evaluate x + h v from ``at``; return the step (with its Point) or None.
 
-    def __init__(self, p: Potential, x0: np.ndarray, tol: Tolerances | None):
-        self.p = p
-        self.tol = tol if tol is not None else Tolerances()
-        self.ctrl = StepController()
-        self.x = np.array(x0, dtype=float)
-        self.grad = np.asarray(p.gradient(self.x), dtype=float)
-        if not np.isfinite(self.grad).all():
-            raise EvaluationError("non-finite gradient at the starting point")
-        self.value = float(p.value(self.x))
-        if not math.isfinite(self.value):
-            raise EvaluationError("non-finite value at the starting point")
-        self.grad0_norm = _norm(self.grad)
-        self.grad_threshold = self.tol.threshold(self.grad0_norm)
-        self.step_threshold = self.tol.threshold(_norm(self.x))
-        self.aux = 0.5 * float(self.grad @ self.grad)   # G = |grad g|^2 / 2 at x
-        self.history: list[StepInfo] = []
-
-    def done(self, x_prev: np.ndarray | None) -> bool:
-        return _should_stop(self.grad, self.x, x_prev, self.grad_threshold, self.step_threshold)
-
-    def result(self, outcome: str) -> LocalSearchResult:
-        return LocalSearchResult(
-            final_point=self.x,
-            iterations=len(self.history),
-            outcome=outcome,
-            history=self.history,
-            final_value=self.value,
-            initial_grad_norm=self.grad0_norm,
-        )
-
-    def spectral(self) -> SpectralInfo:
-        return eigendecompose(self.p.hessian(self.x))
-
-    def try_step(self, direction_name: str, h: float, v: np.ndarray,
-                 slope: float | None, lower_aux: bool):
-        """Evaluate x + h v; return the step (with its g, grad g and G) or None.
-
-        The step needs finite g and grad g.  Unless ``slope`` is None, g must
-        decrease appreciably: g_new <= g - SUFFICIENT_DECREASE h slope.  With
-        ``lower_aux``, G must also strictly decrease.  The gradient is only
-        evaluated once the g test passes.
-        """
-        candidate = self.x + h * v
-        g_new = float(self.p.value(candidate))
-        if not math.isfinite(g_new):
-            return None
-        if slope is not None and g_new > self.value - SUFFICIENT_DECREASE * h * slope:
-            return None
-        grad_new = np.asarray(self.p.gradient(candidate), dtype=float)
-        if not np.isfinite(grad_new).all():
-            return None
-        aux_new = 0.5 * float(grad_new @ grad_new)
-        if lower_aux and not aux_new < self.aux:
-            return None
-        return direction_name, v, candidate, g_new, grad_new, aux_new
-
-    def run(self, next_attempt) -> LocalSearchResult:
-        """Iterate to convergence.  Each iteration line-searches the attempt
-        ``next_attempt()`` builds at the current point (None when no
-        direction exists, which ends the search as a step underflow) and
-        commits the accepted step."""
-        if self.done(None):
-            return self.result(CONVERGED)
-        for _ in range(self.tol.max_iterations):
-            attempt = next_attempt()
-            found = _damped_step(self.ctrl, attempt) if attempt is not None else None
-            if found is None:
-                return self.result(STEP_UNDERFLOW)
-            h, (direction_name, v, candidate, g_new, grad_new, aux_new) = found
-            prev = self.x
-            self.x, self.value, self.grad, self.aux = candidate, g_new, grad_new, aux_new
-            self.ctrl.accept()
-            self.history.append(StepInfo(
-                direction=direction_name, step_size=h, point=candidate,
-                previous_point=prev, step_vector=v, value=g_new, aux_value=self.aux))
-            if self.done(prev):
-                return self.result(CONVERGED)
-        return self.result(BUDGET_EXHAUSTED)
+    The step needs finite g and grad g.  Unless ``slope`` is None, g must
+    decrease appreciably: g_new <= g - SUFFICIENT_DECREASE h slope.  With
+    ``lower_aux``, G must also strictly decrease.  The gradient is only
+    evaluated once the g test passes.
+    """
+    candidate = at.x + h * v
+    g_new = float(at.p.value(candidate))
+    if not math.isfinite(g_new):
+        return None
+    if slope is not None and g_new > at.value - SUFFICIENT_DECREASE * h * slope:
+        return None
+    grad_new = np.asarray(at.p.gradient(candidate), dtype=float)
+    if not np.isfinite(grad_new).all():
+        return None
+    new = Point(at.p, candidate, g_new, grad_new)
+    if lower_aux and not new.aux < at.aux:
+        return None
+    return direction_name, v, new
 
 
-def minimize(p: Potential, x0: np.ndarray, tol: Tolerances | None = None) -> LocalSearchResult:
+def _search(p: Potential, x0: Point | np.ndarray, tol: Tolerances | None,
+            next_attempt) -> LocalSearchResult:
+    """The damped iteration every search runs from x0 to convergence.  Each
+    iteration line-searches the attempt ``next_attempt(at)`` builds at the
+    current point ``at`` (None when no direction exists, which ends the
+    search as a step underflow) and commits the accepted step."""
+    tol = tol if tol is not None else Tolerances()
+    ctrl = StepController()
+    at = evaluate(p, x0)
+    grad0_norm = _norm(at.grad)
+    grad_tol, step_tol = tol.threshold(grad0_norm), tol.threshold(_norm(at.x))
+    history: list[StepInfo] = []
+
+    def result(outcome: str) -> LocalSearchResult:
+        return LocalSearchResult(at, len(history), outcome, history, grad0_norm)
+
+    if _should_stop(at.grad, at.x, None, grad_tol, step_tol):
+        return result(CONVERGED)
+    for _ in range(tol.max_iterations):
+        attempt = next_attempt(at)
+        found = _damped_step(ctrl, attempt) if attempt is not None else None
+        if found is None:
+            return result(STEP_UNDERFLOW)
+        h, (direction_name, v, new) = found
+        prev, at = at.x, new
+        ctrl.accept()
+        history.append(StepInfo(direction_name, h, new.x, prev, v, new.value, new.aux))
+        if _should_stop(at.grad, at.x, prev, grad_tol, step_tol):
+            return result(CONVERGED)
+    return result(BUDGET_EXHAUSTED)
+
+
+def minimize(p: Potential, x0: Point | np.ndarray,
+             tol: Tolerances | None = None) -> LocalSearchResult:
     """Minimize g by double descent with gradient-descent fallback.
 
     Double-descent steps must appreciably decrease g (Armijo fraction) and
@@ -268,20 +281,19 @@ def minimize(p: Potential, x0: np.ndarray, tol: Tolerances | None = None) -> Loc
     search takes normalized gradient steps (with only the g condition) for
     GRADIENT_FALLBACK_STEPS accepted iterations before retrying.
     """
-    st = _Search(p, x0, tol)
     fallback_remaining = 0
 
-    def next_attempt():
+    def next_attempt(at):
         nonlocal fallback_remaining
-        grad_norm = _norm(st.grad)
-        gradient_v = -st.grad / grad_norm
+        grad_norm = _norm(at.grad)
+        gradient_v = -at.grad / grad_norm
         mode, v = DIRECTION_GRADIENT, gradient_v
         slope = grad_norm                      # |v . grad| for the unit gradient step
         if fallback_remaining == 0:
             try:
-                v = double_descent_direction(st.grad, st.spectral())
+                v = double_descent_direction(at.grad, at.spectral)
                 mode = DIRECTION_DOUBLE_DESCENT
-                slope = abs(float(v @ st.grad))
+                slope = abs(float(v @ at.grad))
             except (NoPositiveSubspaceError, MisalignedGradientError, EvaluationError):
                 fallback_remaining = GRADIENT_FALLBACK_STEPS
         tries = 0
@@ -293,44 +305,43 @@ def minimize(p: Potential, x0: np.ndarray, tol: Tolerances | None = None) -> Loc
                 mode, v, slope = DIRECTION_GRADIENT, gradient_v, grad_norm
                 fallback_remaining = GRADIENT_FALLBACK_STEPS
             tries += 1
-            step = st.try_step(mode, h, v, slope, mode == DIRECTION_DOUBLE_DESCENT)
+            step = _try_step(at, mode, h, v, slope, mode == DIRECTION_DOUBLE_DESCENT)
             if step is not None and mode == DIRECTION_GRADIENT and fallback_remaining > 0:
                 fallback_remaining -= 1
             return step
 
         return attempt
 
-    return st.run(next_attempt)
+    return _search(p, x0, tol, next_attempt)
 
 
-def saddle_search(p: Potential, x0: np.ndarray, tol: Tolerances | None = None) -> LocalSearchResult:
+def saddle_search(p: Potential, x0: Point | np.ndarray,
+                  tol: Tolerances | None = None) -> LocalSearchResult:
     """Damped Newton iteration on grad g = 0, accepting steps that strictly
     decrease the auxiliary potential G.  Converges to a critical point of
     any index (saddle, maximum, or back to a minimum)."""
-    st = _Search(p, x0, tol)
 
-    def next_attempt():
+    def next_attempt(at):
         try:
-            v = -newton_solve(p.hessian(st.x), st.grad)
+            v = -newton_solve(at.hessian, at.grad)
         except EvaluationError:
             return None
         if not v.any():
             # Gradient entirely outside range(H): no Newton direction exists.
             return None
-        return lambda h: st.try_step(DIRECTION_NEWTON, h, v, None, True)
+        return lambda h: _try_step(at, DIRECTION_NEWTON, h, v, None, True)
 
-    return st.run(next_attempt)
+    return _search(p, x0, tol, next_attempt)
 
 
-def gradient_descent(p: Potential, x0: np.ndarray,
+def gradient_descent(p: Potential, x0: Point | np.ndarray,
                      tol: Tolerances | None = None) -> LocalSearchResult:
     """Plain normalized gradient descent with the shared step policy; the
     local engine of the Monte-Carlo baseline."""
-    st = _Search(p, x0, tol)
 
-    def next_attempt():
-        grad_norm = _norm(st.grad)
-        v = -st.grad / grad_norm
-        return lambda h: st.try_step(DIRECTION_GRADIENT, h, v, grad_norm, False)
+    def next_attempt(at):
+        grad_norm = _norm(at.grad)
+        v = -at.grad / grad_norm
+        return lambda h: _try_step(at, DIRECTION_GRADIENT, h, v, grad_norm, False)
 
-    return st.run(next_attempt)
+    return _search(p, x0, tol, next_attempt)

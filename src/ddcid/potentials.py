@@ -363,8 +363,8 @@ def make_lennard_jones(d: int) -> Potential:
 
 def make_morse(d: int, rho: float) -> Potential:
     """Morse cluster: sum e^{rho(1-r)} (e^{rho(1-r)} - 2); rho sets the well width."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not (rho > 0 and math.isfinite(rho)):   # also rejects NaN
+        raise ValueError("rho must be positive and finite")
     coords = ClusterCoordinates(d)
 
     def exp_term(r):

@@ -140,20 +140,20 @@ def newton_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if n == 0:
         return np.zeros(0)
     # The LAPACK calls of scipy.linalg.qr(H, pivoting=True) and solve_triangular.
+    # R is the upper triangle of qr; dorgqr works on a copy and leaves it.
     qr, jpvt, tau, _ = _lapack(dgeqp3, H, lwork=-1)
-    r = np.triu(qr)
-    q, _ = _lapack(dorgqr, qr, tau, lwork=-1, overwrite_a=1)
-    diag = np.abs(np.diag(r))
+    q, _ = _lapack(dorgqr, qr, tau, lwork=-1)
+    diag = np.abs(np.diag(qr))
     if diag[0] == 0.0:
         return np.zeros(n)
     rank = int(np.count_nonzero(diag > n * _EPS * diag[0]))
     c = q.T @ rhs
     if rank == n:
-        # r is C-ordered, so the Fortran routine solves with its transpose.
-        z, = _lapack(dtrtrs, r.T, c, lower=1, trans=1)
+        # As solve_triangular does: L^T z = c for L = qr.T, read as lower-triangular.
+        z, = _lapack(dtrtrs, qr.T, c, lower=1, trans=1)
     else:
         # Minimum-norm solution of the consistent rows R[:rank] z = c[:rank].
-        z, *_ = scipy.linalg.lstsq(r[:rank, :], c[:rank])
+        z, *_ = scipy.linalg.lstsq(np.triu(qr[:rank, :]), c[:rank])
     out = np.empty(n)
     out[jpvt - 1] = z
     return out

@@ -190,10 +190,10 @@ def test_escape_minimum_reaches_indefinite_region():
     for seed in range(20):
         esc = escape_minimum(p, np.array([1.0, 0.0]), cfg, NoiseSource(seed))
         if esc.outcome == ESCAPED:
-            s = eigendecompose(p.hessian(esc.point))
+            s = eigendecompose(p.hessian(esc.final.x))
             assert s.n_minus >= 1
-        r = saddle_search(p, esc.point)
-        if r.outcome == CONVERGED and np.linalg.norm(r.final_point - [0.0, 1.0]) < 1e-6:
+        r = saddle_search(p, esc.final.x)
+        if r.outcome == CONVERGED and np.linalg.norm(r.final.x - [0.0, 1.0]) < 1e-6:
             saddle_hits += 1
     assert saddle_hits >= 11    # majority of the 20 seeded runs
 
@@ -206,9 +206,9 @@ def test_escape_minimum_budget_flag():
         esc = escape_minimum(p, np.array([1.0, 0.0]), cfg, NoiseSource(seed))
         flags.add(esc.outcome)
         if esc.outcome == BUDGET_EXHAUSTED:
-            assert eigendecompose(p.hessian(esc.point)).n_minus == 0
+            assert eigendecompose(p.hessian(esc.final.x)).n_minus == 0
         else:
-            assert eigendecompose(p.hessian(esc.point)).n_minus >= 1
+            assert eigendecompose(p.hessian(esc.final.x)).n_minus >= 1
     assert BUDGET_EXHAUSTED in flags
 
 
@@ -240,8 +240,8 @@ def test_escape_minimum_1d_quartic_exits_at_inflection():
     for seed in range(20):
         esc = escape_minimum(p, np.array([1.0]), cfg, NoiseSource(seed))
         if esc.outcome == ESCAPED:
-            assert abs(esc.point[0]) < boundary
-            assert p.hessian(esc.point)[0, 0] < 0.0
+            assert abs(esc.final.x[0]) < boundary
+            assert p.hessian(esc.final.x)[0, 0] < 0.0
 
 
 def test_escape_minimum_predictor_decreases_aux():
@@ -273,7 +273,7 @@ def test_escape_trajectory_records_each_step_once_with_its_inertia():
             esc = escape(p, np.array(x0), DiffusionConfig(), NoiseSource(seed))
             assert esc.steps == len(esc.trajectory)
             assert [t.index for t in esc.trajectory] == list(range(1, esc.steps + 1))
-            assert np.array_equal(esc.trajectory[-1].point, esc.point)
+            assert np.array_equal(esc.trajectory[-1].point, esc.final.x)
             for step in esc.trajectory:
                 assert step.inertia == eigendecompose(p.hessian(step.point)).inertia
             if escape is escape_minimum:
@@ -342,10 +342,10 @@ def test_escape_saddle_reaches_positive_region_and_minima():
     for seed in range(20):
         esc = escape_saddle(p, np.array([0.0, 1.0]), cfg, NoiseSource(seed))
         if esc.outcome == ESCAPED:
-            assert eigendecompose(p.hessian(esc.point)).n_minus == 0
-        r = minimize(p, esc.point)
-        if r.outcome == CONVERGED and (np.linalg.norm(r.final_point - [1.0, 0.0]) < 1e-6
-                            or np.linalg.norm(r.final_point - [-1.0, 0.0]) < 1e-6):
+            assert eigendecompose(p.hessian(esc.final.x)).n_minus == 0
+        r = minimize(p, esc.final.x)
+        if r.outcome == CONVERGED and (np.linalg.norm(r.final.x - [1.0, 0.0]) < 1e-6
+                            or np.linalg.norm(r.final.x - [-1.0, 0.0]) < 1e-6):
             min_hits += 1
     assert min_hits >= 11
 
@@ -362,7 +362,7 @@ def test_escape_from_maximum_behaves_like_saddle():
     for seed in range(10):
         esc = escape_saddle(p, x_max, DiffusionConfig(), NoiseSource(seed))
         if esc.outcome == ESCAPED:
-            assert eigendecompose(p.hessian(esc.point)).n_minus == 0
+            assert eigendecompose(p.hessian(esc.final.x)).n_minus == 0
             reached += 1
     assert reached >= 5
 
@@ -384,7 +384,7 @@ def test_escape_saddle_descends_g_on_negative_values():
                 if step.predictor is not None:
                     assert pot.value(step.predictor) < prev.value
             if esc.outcome == ESCAPED:
-                assert eigendecompose(pot.hessian(esc.point)).n_minus == 0
+                assert eigendecompose(pot.hessian(esc.final.x)).n_minus == 0
                 hits += 1
         return hits
 

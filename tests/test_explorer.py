@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from ddcid.explorer import (
     select_escape_target,
 )
 from ddcid.local_search import StepUnderflowError, Tolerances
-from ddcid.potentials import EvaluationError, Potential, make_camel, make_molei
+from ddcid.potentials import EvaluationError, Potential, get_potential, make_camel, make_molei
 from ddcid.spectral import eigendecompose
 
 MOLEI_POINTS = {
@@ -56,7 +57,7 @@ def found(table, target, tol=1e-4):
 def make_cp(x, kind=KIND_MINIMUM, value=0.0):
     inertia = {KIND_MINIMUM: (2, 0, 0), KIND_SADDLE: (1, 0, 1),
                KIND_MAXIMUM: (0, 0, 2), KIND_DEGENERATE: (1, 1, 0)}[kind]
-    return CriticalPoint(np.asarray(x, dtype=float), value, 1e-10, inertia, kind)
+    return CriticalPoint(np.asarray(x, dtype=float), value, 1e-10, inertia, kind, None)
 
 
 # --- classification ------------------------------------------------------------
@@ -130,6 +131,19 @@ def test_record_keeps_sharper_representative():
     assert entry.occurrences == 2
     assert entry.gradient_norm == 1e-12
     assert np.array_equal(entry.location, [0.0, 0.0])
+
+
+def test_record_moves_the_evaluations_with_the_sharper_representative():
+    p = make_camel()
+    table = CriticalPointTable(dedup_radius=1e-2)
+    minimum = np.array([0.08984201310, -0.71265640302])
+    blunt = table.record(classify(p, minimum + [1e-4, 0.0], grad_tol=math.inf))
+    sharp = classify(p, minimum, grad_tol=math.inf)
+    assert sharp.gradient_norm < blunt.gradient_norm
+    entry = table.record(sharp)
+    assert entry is blunt and entry.occurrences == 2
+    assert entry.point is sharp.point
+    assert np.array_equal(entry.point.x, entry.location)
 
 
 def test_default_dedup_radius():
@@ -249,6 +263,28 @@ print(explore(p, ExplorationConfig(max_critical_points=4, seed=0)).to_json(inclu
     for entry in report["table"]:
         assert np.isfinite(entry["value"]) and np.isfinite(entry["gradient_norm"])
         assert sum(entry["inertia"]) == 2
+
+
+@pytest.mark.parametrize("key, budget", [("camel", 20), ("lj:5", 10)])
+def test_explore_evaluates_each_point_once(key, budget):
+    # Each stage hands its point to the next with the point's g, grad g,
+    # Hessian and eigendecomposition: start draw to search, search to
+    # classify, table entry to escape, escape to search.
+    base = get_potential(key)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(x):
+            calls[name, np.asarray(x, dtype=float).tobytes()] += 1
+            return fn(x)
+        return wrapped
+
+    p = Potential(base.dimension, counted("value", base.value),
+                  counted("gradient", base.gradient), counted("hessian", base.hessian),
+                  base.search_region, base.name)
+    explore(p, ExplorationConfig(max_critical_points=budget, seed=0))
+    repeats = Counter(name for (name, _), n in calls.items() for _ in range(n - 1))
+    assert repeats == Counter()
 
 
 def test_explore_averages_match_raw_logs():

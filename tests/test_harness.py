@@ -319,6 +319,14 @@ def test_cli_nan_explorer_setting_exit_code(tmp_path, capsys, option):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rho", ["nan", "inf"])
+def test_cli_non_finite_morse_width_exit_code(tmp_path, capsys, rho):
+    out = tmp_path / "report.json"
+    assert main(["run", "--problem", f"morse:5:{rho}", "--budget", "2", "--out", str(out)]) == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_unknown_problem_exit_code(capsys):
     assert main(["run", "--problem", "unknown"]) == 1
     assert "error" in capsys.readouterr().err

@@ -203,7 +203,7 @@ def test_minimize_quadratic_newton_exact():
         r = minimize(p, rng.uniform(-5, 5, 2))
         assert r.outcome == CONVERGED
         assert r.iterations <= 2
-        assert np.linalg.norm(r.final_point) < 1e-7
+        assert np.linalg.norm(r.final.x) < 1e-7
 
 
 def test_minimize_at_minimum_returns_immediately():
@@ -230,7 +230,7 @@ def test_minimize_molei_basin():
 
     r = minimize(p, np.array([0.5, 0.5]))
     assert r.outcome == CONVERGED
-    assert np.linalg.norm(r.final_point - [1.0, 0.0]) < 1e-6
+    assert np.linalg.norm(r.final.x - [1.0, 0.0]) < 1e-6
 
 
 @pytest.mark.parametrize("target", CAMEL_MINIMA)
@@ -241,7 +241,7 @@ def test_minimize_camel_recovers_nearby_minima(target):
         start = np.array(target) + rng.uniform(-0.03, 0.03, 2)
         r = minimize(p, start)
         assert r.outcome == CONVERGED
-        assert np.linalg.norm(r.final_point - target) < 1e-4 + 1e-4
+        assert np.linalg.norm(r.final.x - target) < 1e-4 + 1e-4
 
 
 def strictly_below(b, a):
@@ -370,7 +370,7 @@ def test_saddle_search_molei():
     p = make_molei()
     r = saddle_search(p, np.array([0.1, 1.1]))
     assert r.outcome == CONVERGED
-    assert np.linalg.norm(r.final_point - [0.0, 1.0]) < 1e-6
+    assert np.linalg.norm(r.final.x - [0.0, 1.0]) < 1e-6
     assert {step.direction for step in r.history} == {"newton"}
 
 
@@ -389,7 +389,7 @@ def test_saddle_search_boggs(target):
     for _ in range(3):
         start = np.array(target) + rng.uniform(-0.03, 0.03, 2)
         r = saddle_search(p, start)
-        if r.outcome == CONVERGED and np.linalg.norm(r.final_point - target) < 2e-3:
+        if r.outcome == CONVERGED and np.linalg.norm(r.final.x - target) < 2e-3:
             hits += 1
     assert hits >= 2
 
@@ -411,7 +411,7 @@ def test_gradient_descent_quadratic():
     p = make_quadratic(np.diag([2.0, 0.5]))
     r = gradient_descent(p, np.array([3.0, -4.0]), Tolerances(max_iterations=2000))
     assert r.outcome == CONVERGED
-    assert np.linalg.norm(r.final_point) < 1e-6
+    assert np.linalg.norm(r.final.x) < 1e-6
 
 
 def test_gradient_descent_uses_gradient_only():

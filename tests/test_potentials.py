@@ -1,3 +1,4 @@
+import math
 import zlib
 
 import numpy as np
@@ -267,8 +268,9 @@ def test_morse11_table_values():
 
 
 def test_morse_requires_positive_rho():
-    with pytest.raises(ValueError):
-        make_morse(5, -1.0)
+    for rho in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            make_morse(5, rho)
 
 
 def test_cluster_coordinates_layout():
