@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -59,8 +60,8 @@ class DiffusionConfig:
     def __post_init__(self):
         if not self.alpha > 0:   # also rejects NaN
             raise ValueError("alpha must be positive")
-        if not self.max_diffusive_steps >= 1:
-            raise ValueError("max_diffusive_steps must be >= 1")
+        if not (isinstance(self.max_diffusive_steps, Integral) and self.max_diffusive_steps >= 1):
+            raise ValueError("max_diffusive_steps must be an integer >= 1")
 
 
 @dataclass
@@ -148,9 +149,13 @@ def _predictor_attempt(p: Potential, x: np.ndarray, direction: np.ndarray,
                        g_bound: float | None, aux_bound: float | None):
     """Attempt at x - h direction for the damped line search, accepted when
     it lowers g below ``g_bound`` and G below ``aux_bound`` (a None bound is
-    not tested).  Returns the candidate and its G, if evaluated."""
+    not tested).  Returns the candidate and its G, if evaluated.  A
+    candidate equal to x bit for bit raises StepUnderflowError at once:
+    every smaller h rounds to x as well, and x passes neither strict test."""
     def attempt(h):
         cand = x - h * direction
+        if cand.tobytes() == x.tobytes():
+            raise StepUnderflowError("predictor step rounds to the current point")
         if g_bound is not None and not float(p.value(cand)) < g_bound:
             return None
         if aux_bound is None:

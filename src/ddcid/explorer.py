@@ -8,6 +8,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -149,8 +150,9 @@ class ExplorationConfig:
     max_restarts: int = 5
 
     def __post_init__(self):
-        if not (self.max_critical_points >= 1 and self.max_restarts >= 0):   # also rejects NaN
-            raise ValueError("need max_critical_points >= 1 and max_restarts >= 0")
+        if not (isinstance(self.max_critical_points, Integral) and self.max_critical_points >= 1
+                and isinstance(self.max_restarts, Integral) and self.max_restarts >= 0):
+            raise ValueError("need integers max_critical_points >= 1 and max_restarts >= 0")
 
 
 @dataclass
@@ -252,8 +254,7 @@ class _Explorer:
             stats.search_iteration_counts.append(result.iterations)
             if result.outcome != CONVERGED:
                 return None
-            grad_tol = self.cfg.tolerances.threshold(result.initial_grad_norm)
-            cp = classify(self.p, result.final, grad_tol)
+            cp = classify(self.p, result.final, result.grad_tol)
             before = len(self.table)
             return self.table.record(cp), len(self.table) > before
         except (EvaluationError, NotCriticalError):

@@ -9,6 +9,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -46,12 +47,12 @@ class BenchmarkSpec:
     anneal: "AnnealConfig | None" = None
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        if not (isinstance(self.repetitions, Integral) and self.repetitions >= 1):
+            raise ValueError("repetitions must be an integer >= 1")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.mc_starts < 1:
-            raise ValueError("mc_starts must be >= 1")
+        if not (isinstance(self.mc_starts, Integral) and self.mc_starts >= 1):
+            raise ValueError("mc_starts must be an integer >= 1")
         if not self.target_tol >= 0:   # also rejects NaN
             raise ValueError("target_tol must be >= 0")
 
@@ -62,8 +63,8 @@ class AnnealConfig:
     iteration_budget: int = 20000
 
     def __post_init__(self):
-        if self.iteration_budget < 1:
-            raise ValueError("iteration_budget must be >= 1")
+        if not (isinstance(self.iteration_budget, Integral) and self.iteration_budget >= 1):
+            raise ValueError("iteration_budget must be an integer >= 1")
         if not self.neighbor_scale > 0:   # also rejects NaN
             raise ValueError("neighbor_scale must be positive")
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -85,8 +86,8 @@ class Tolerances:
     def __post_init__(self):
         if not (self.atol > 0 and self.rtol >= 0):   # also rejects NaN
             raise ValueError("need atol > 0 and rtol >= 0")
-        if not self.max_iterations >= 1:
-            raise ValueError("need max_iterations >= 1")
+        if not (isinstance(self.max_iterations, Integral) and self.max_iterations >= 1):
+            raise ValueError("need an integer max_iterations >= 1")
 
     def threshold(self, reference_norm: float) -> float:
         """atol + rtol * reference_norm: the starting gradient norm or point norm."""
@@ -151,19 +152,7 @@ class LocalSearchResult:
     iterations: int
     outcome: str
     history: list[StepInfo] = field(default_factory=list)
-    initial_grad_norm: float = math.nan
-
-
-def stopping_criterion(x_k: np.ndarray, x_km1: np.ndarray | None, grad_k: np.ndarray,
-                       x0: np.ndarray, grad0: np.ndarray, tol: Tolerances) -> bool:
-    """True when iteration should stop.
-
-    Iteration continues as long as both
-        ||grad_k|| >= atol + ||grad0|| rtol   and
-        ||x_k - x_km1|| >= atol + ||x0|| rtol
-    hold; equality continues.  ``x_km1=None`` skips the displacement test.
-    """
-    return _should_stop(grad_k, x_k, x_km1, tol.threshold(_norm(grad0)), tol.threshold(_norm(x0)))
+    grad_tol: float = math.nan    # the stop threshold on ||grad g||, also the record gate
 
 
 def _norm(v: np.ndarray) -> float:
@@ -171,8 +160,15 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _should_stop(grad: np.ndarray, x: np.ndarray, x_prev: np.ndarray | None,
-                 grad_tol: float, step_tol: float) -> bool:
+def stopping_criterion(grad: np.ndarray, x: np.ndarray, x_prev: np.ndarray | None,
+                       grad_tol: float, step_tol: float) -> bool:
+    """True when iteration should stop: the one stop rule of every search.
+
+    Iteration continues as long as both ||grad|| >= grad_tol and
+    ||x - x_prev|| >= step_tol hold; equality continues.  ``x_prev=None``
+    skips the displacement test.  The searches take both thresholds from
+    ``Tolerances.threshold``: of ||grad g(x0)|| and of ||x0||.
+    """
     return _norm(grad) < grad_tol or (x_prev is not None and _norm(x - x_prev) < step_tol)
 
 
@@ -248,14 +244,13 @@ def _search(p: Potential, x0: Point | np.ndarray, tol: Tolerances | None,
     tol = tol if tol is not None else Tolerances()
     ctrl = StepController()
     at = evaluate(p, x0)
-    grad0_norm = _norm(at.grad)
-    grad_tol, step_tol = tol.threshold(grad0_norm), tol.threshold(_norm(at.x))
+    grad_tol, step_tol = tol.threshold(_norm(at.grad)), tol.threshold(_norm(at.x))
     history: list[StepInfo] = []
 
     def result(outcome: str) -> LocalSearchResult:
-        return LocalSearchResult(at, len(history), outcome, history, grad0_norm)
+        return LocalSearchResult(at, len(history), outcome, history, grad_tol)
 
-    if _should_stop(at.grad, at.x, None, grad_tol, step_tol):
+    if stopping_criterion(at.grad, at.x, None, grad_tol, step_tol):
         return result(CONVERGED)
     for _ in range(tol.max_iterations):
         attempt = next_attempt(at)
@@ -266,7 +261,7 @@ def _search(p: Potential, x0: Point | np.ndarray, tol: Tolerances | None,
         prev, at = at.x, new
         ctrl.accept()
         history.append(StepInfo(direction_name, h, new.x, prev, v, new.value, new.aux))
-        if _should_stop(at.grad, at.x, prev, grad_tol, step_tol):
+        if stopping_criterion(at.grad, at.x, prev, grad_tol, step_tol):
             return result(CONVERGED)
     return result(BUDGET_EXHAUSTED)
 

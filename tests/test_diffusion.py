@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,22 @@ from ddcid.diffusion import (
     DiffusionConfig,
     InertiaMismatchError,
     NoiseSource,
+    _predictor_attempt,
     colored_noise,
     escape_minimum,
     escape_saddle,
     initial_kick,
     white_noise_id_step,
 )
-from ddcid.local_search import CONVERGED, StepUnderflowError, minimize, saddle_search
+from ddcid.local_search import (
+    CONVERGED,
+    StepController,
+    StepUnderflowError,
+    _damped_step,
+    evaluate,
+    minimize,
+    saddle_search,
+)
 from ddcid.potentials import Potential, make_molei
 from ddcid.spectral import eigendecompose
 
@@ -409,3 +420,27 @@ def test_escape_saddle_from_zero_valued_camel_saddle_never_underflows():
         except StepUnderflowError:
             underflows.append(seed)
     assert underflows == []
+
+
+@pytest.mark.parametrize("from_minimum", [True, False])
+def test_predictor_line_search_ends_at_a_null_step_without_evaluating(from_minimum):
+    # A direction below x's ulp: x - h d rounds to x for every h, and x
+    # passes neither strict test, so the line search ends at once as the
+    # step underflow it would become after halving h down to 2^-26.
+    base = make_molei()
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapped(x):
+            calls[name] += 1
+            return f(x)
+        return wrapped
+
+    p = Potential(2, counted("value", base.value), counted("gradient", base.gradient),
+                  base.hessian, base.search_region, name="molei-counted")
+    x = np.array([1.0, 0.5])
+    at = evaluate(base, x)
+    bounds = (None, at.aux) if from_minimum else (at.value, at.aux)
+    with pytest.raises(StepUnderflowError):
+        _damped_step(StepController(), _predictor_attempt(p, x, np.full(2, 1e-30), *bounds))
+    assert calls == Counter()

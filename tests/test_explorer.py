@@ -26,7 +26,13 @@ from ddcid.explorer import (
     kind_from_inertia,
     select_escape_target,
 )
-from ddcid.local_search import StepUnderflowError, Tolerances
+from ddcid.local_search import (
+    CONVERGED,
+    LocalSearchResult,
+    StepUnderflowError,
+    Tolerances,
+    evaluate,
+)
 from ddcid.potentials import EvaluationError, Potential, get_potential, make_camel, make_molei
 from ddcid.spectral import eigendecompose
 
@@ -349,6 +355,26 @@ def test_attempt_falls_back_to_one_fresh_search_when_every_escape_fails(monkeypa
         assert len(a.search_iteration_counts) == 1
 
 
+@pytest.mark.parametrize("above", [False, True])
+def test_explorer_records_by_the_threshold_its_search_stopped_on(monkeypatch, above):
+    # The gate is the search's own result.grad_tol, here far above what
+    # the default Tolerances would give: a converged end point whose
+    # gradient norm is within it is recorded, one just above it is not.
+    p = make_camel()
+    end = evaluate(p, np.array([0.1, -0.7]))
+    grad_norm = float(np.linalg.norm(end.grad))
+    assert grad_norm > 1e-2
+    grad_tol = np.nextafter(grad_norm, 0.0) if above else grad_norm
+
+    def search(p, start, tol):
+        return LocalSearchResult(end, 0, CONVERGED, grad_tol=grad_tol)
+
+    monkeypatch.setattr("ddcid.explorer.minimize", search)
+    rep = explore(p, ExplorationConfig(max_critical_points=1, max_restarts=0))
+    assert [a.outcome for a in rep.attempts] == ["failed" if above else "recorded"]
+    assert [e.gradient_norm for e in rep.table.entries] == ([] if above else [grad_norm])
+
+
 def test_report_json_round_trip():
     rep = explore(make_molei(), ExplorationConfig(max_critical_points=4, seed=8))
     assert json.loads(rep.to_json()) == rep.canonical_dict()
@@ -384,3 +410,18 @@ def test_config_rejects_nan(config, field_name):
     # whose inertia never changes would never stop.
     with pytest.raises(ValueError):
         config(**{field_name: math.nan})
+
+
+@pytest.mark.parametrize("config, field_name", [
+    (DiffusionConfig, "max_diffusive_steps"),
+    (Tolerances, "max_iterations"),
+    (ExplorationConfig, "max_critical_points"),
+    (ExplorationConfig, "max_restarts"),
+])
+def test_config_rejects_non_integer_counts(config, field_name):
+    # 2.5 passes the range check; a run then dies in range(), or takes 3
+    # diffusive steps while the report's config says 2.5.
+    for bad in (2.5, 3.0):
+        with pytest.raises(ValueError):
+            config(**{field_name: bad})
+    assert getattr(config(**{field_name: np.int64(3)}), field_name) == 3

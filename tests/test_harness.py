@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -156,6 +157,20 @@ def test_benchmark_spec_rejects_negative_target_tol(tol):
 def test_anneal_config_rejects_empty_budget():
     with pytest.raises(ValueError):
         AnnealConfig(iteration_budget=0)
+
+
+@pytest.mark.parametrize("config, field_name", [
+    (BenchmarkSpec, "repetitions"),
+    (BenchmarkSpec, "mc_starts"),
+    (AnnealConfig, "iteration_budget"),
+])
+def test_harness_settings_reject_non_integer_counts(config, field_name):
+    # 2.5 passes the range check, and the run then dies in range().
+    make = partial(BenchmarkSpec, "camel") if config is BenchmarkSpec else config
+    for bad in (2.5, 3.0):
+        with pytest.raises(ValueError):
+            make(**{field_name: bad})
+    assert getattr(make(**{field_name: np.int64(3)}), field_name) == 3
 
 
 @pytest.mark.parametrize("scale", [0.0, -0.5, math.nan])

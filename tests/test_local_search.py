@@ -122,13 +122,15 @@ def test_damped_step_returns_the_first_accepted_candidate():
 def test_stopping_zero_gradient():
     tol = Tolerances()
     x = np.ones(2)
-    assert stopping_criterion(x, x + 1.0, np.zeros(2), x, np.ones(2), tol)
+    grad_tol, step_tol = tol.threshold(np.linalg.norm(np.ones(2))), tol.threshold(np.linalg.norm(x))
+    assert stopping_criterion(np.zeros(2), x, x + 1.0, grad_tol, step_tol)
 
 
 def test_stopping_no_displacement():
     tol = Tolerances()
     x = np.ones(2)
-    assert stopping_criterion(x, x, np.ones(2), x, np.ones(2), tol)
+    grad_tol, step_tol = tol.threshold(np.linalg.norm(np.ones(2))), tol.threshold(np.linalg.norm(x))
+    assert stopping_criterion(np.ones(2), x, x, grad_tol, step_tol)
 
 
 def test_stopping_boundary_continues():
@@ -138,9 +140,20 @@ def test_stopping_boundary_continues():
     grad_k = np.array([threshold, 0.0])       # exactly on the boundary
     x0 = np.zeros(2)
     x_k = np.array([10.0, 0.0])
-    assert not stopping_criterion(x_k, np.zeros(2), grad_k, x0, grad0, tol)
+    grad_tol, step_tol = tol.threshold(np.linalg.norm(grad0)), tol.threshold(np.linalg.norm(x0))
+    assert grad_tol == threshold
+    assert not stopping_criterion(grad_k, x_k, np.zeros(2), grad_tol, step_tol)
     grad_k = np.array([np.nextafter(threshold, 0.0), 0.0])
-    assert stopping_criterion(x_k, np.zeros(2), grad_k, x0, grad0, tol)
+    assert stopping_criterion(grad_k, x_k, np.zeros(2), grad_tol, step_tol)
+
+
+def test_search_reports_its_stop_threshold():
+    tol = Tolerances(atol=1e-6, rtol=1e-3)
+    p = make_camel()
+    x0 = np.array([0.3, -0.4])
+    result = minimize(p, x0, tol)
+    assert result.outcome == CONVERGED
+    assert result.grad_tol == tol.threshold(np.linalg.norm(p.gradient(x0)))
 
 
 # --- double-descent direction -------------------------------------------------
