@@ -135,10 +135,7 @@ def _newton_predictor(at: Point):
 def _descent_predictor(at: Point):
     """From a saddle: the double-descent step, which must decrease g and G,
     when the gradient has a meaningful positive-subspace component;
-    otherwise a gradient step, which must decrease g.  None at an exact
-    critical point, where no predictor exists."""
-    if at.aux == 0.0:
-        return None
+    otherwise a gradient step, which must decrease g."""
     try:
         return -double_descent_direction(at.grad, at.spectral), at.value, at.aux
     except (NoPositiveSubspaceError, MisalignedGradientError):
@@ -196,13 +193,12 @@ def _escape(p: Potential, x0: Point | np.ndarray, cfg: DiffusionConfig,
         if steps >= cfg.max_diffusive_steps:
             return EscapeResult(at, steps, BUDGET_EXHAUSTED, trajectory)
 
-        predicted = predictor(at)
-        if predicted is None:
-            # Landed exactly on a critical point: only the noise can move us.
+        if at.aux == 0.0:
+            # An exact critical point has no predictor: only noise can move it.
             x = initial_kick(at.x, _extremal_direction(s, which, noise), cfg.alpha, noise)
             extra = {}
         else:
-            found = _damped_step(StepController(), _predictor_attempt(p, at.x, *predicted))
+            found = _damped_step(StepController(), _predictor_attempt(p, at.x, *predictor(at)))
             if found is None:
                 raise StepUnderflowError("deterministic predictor line search underflowed")
             h, (x_hat, aux_hat) = found

@@ -223,7 +223,15 @@ class RunReport:
         return d
 
     def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.canonical_dict(include_timing), sort_keys=True, indent=2)
+        return report_json(self.canonical_dict(include_timing))
+
+
+def report_json(canonical: dict) -> str:
+    """The JSON text of a report's canonical dict, the one writer of every
+    report.  A numpy scalar, say from a config field, is written as the
+    number it holds (``np.generic.item``, which raises TypeError on any
+    other value that JSON has no form for)."""
+    return json.dumps(canonical, sort_keys=True, indent=2, default=np.generic.item)
 
 
 class _Explorer:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -22,6 +21,7 @@ from .explorer import (
     classify,
     default_dedup_radius,
     explore,
+    report_json,
 )
 from .local_search import CONVERGED, Tolerances, gradient_descent
 from .potentials import EvaluationError, Potential, get_potential
@@ -189,7 +189,7 @@ class BenchmarkReport:
         return d
 
     def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.canonical_dict(include_timing), sort_keys=True, indent=2)
+        return report_json(self.canonical_dict(include_timing))
 
 
 def run_benchmark(spec: BenchmarkSpec) -> BenchmarkReport:
@@ -243,12 +243,11 @@ def table_csv_rows(entries: list[CriticalPoint], dimension: int) -> tuple[list[s
     for e in entries:
         rows.append([repr(float(v)) for v in e.location]
                     + [repr(float(e.value)), repr(float(e.gradient_norm)),
-                       e.inertia[0], e.inertia[1], e.inertia[2], e.kind, e.occurrences])
+                       *e.inertia, e.kind, e.occurrences])
     return header, rows
 
 
-def write_table_csv(entries: list[CriticalPoint], dimension: int, path: str) -> None:
-    header, rows = table_csv_rows(entries, dimension)
+def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -261,23 +260,21 @@ def write_trajectory_csv(trajectory: list[TrajectoryStep], path: str) -> None:
         raise ValueError("empty trajectory")
     n = trajectory[0].point.size
     header = ["step"] + [f"x{i}" for i in range(1, n + 1)] + ["g", "G", "n_plus", "n_zero", "n_minus"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in trajectory:
-            writer.writerow([t.index] + [repr(float(v)) for v in t.point]
-                            + [repr(float(t.value)), repr(float(t.aux_value)),
-                               t.inertia[0], t.inertia[1], t.inertia[2]])
+    _write_csv(path, header, [[t.index] + [repr(float(v)) for v in t.point]
+                              + [repr(float(t.value)), repr(float(t.aux_value)), *t.inertia]
+                              for t in trajectory])
 
 
 def emit_report(report: BenchmarkReport | RunReport, fmt: str, path: str) -> str:
-    """Write the report as JSON (full) or CSV (table only); returns path."""
+    """Write the report as JSON (full) or CSV (table only); returns path.
+    The text is made before the file is opened, so a report that cannot be
+    serialized leaves no file behind."""
     if fmt == "json":
+        text = report.to_json() + "\n"
         with open(path, "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+            fh.write(text)
     elif fmt == "csv":
-        write_table_csv(report.table.entries, report.dimension, path)
+        _write_csv(path, *table_csv_rows(report.table.entries, report.dimension))
     else:
         raise ValueError(f"unknown format {fmt!r}")
     return path

@@ -271,38 +271,35 @@ def minimize(p: Potential, x0: Point | np.ndarray,
     """Minimize g by double descent with gradient-descent fallback.
 
     Double-descent steps must appreciably decrease g (Armijo fraction) and
-    strictly decrease the auxiliary potential G.  When the gradient has no
-    meaningful positive-subspace component, or damping retries run out, the
-    search takes normalized gradient steps (with only the g condition) for
-    GRADIENT_FALLBACK_STEPS accepted iterations before retrying.
+    strictly decrease the auxiliary potential G.  While the fallback counter
+    is 0, each line search makes DAMPING_RETRY_BUDGET double-descent tries
+    when the direction exists (a meaningful positive-subspace component);
+    its further tries are normalized gradient steps (with only the g
+    condition).  An accepted gradient step sets the counter to
+    (counter or GRADIENT_FALLBACK_STEPS) - 1: GRADIENT_FALLBACK_STEPS
+    accepted gradient steps, then double descent again.
     """
-    fallback_remaining = 0
+    fallback = 0   # accepted gradient steps still owed before double descent
 
     def next_attempt(at):
-        nonlocal fallback_remaining
         grad_norm = _norm(at.grad)
-        gradient_v = -at.grad / grad_norm
-        mode, v = DIRECTION_GRADIENT, gradient_v
-        slope = grad_norm                      # |v . grad| for the unit gradient step
-        if fallback_remaining == 0:
+        tries = []
+        if fallback == 0:
             try:
                 v = double_descent_direction(at.grad, at.spectral)
-                mode = DIRECTION_DOUBLE_DESCENT
-                slope = abs(float(v @ at.grad))
+                tries = [(DIRECTION_DOUBLE_DESCENT, v, abs(float(v @ at.grad)))] * DAMPING_RETRY_BUDGET
             except (NoPositiveSubspaceError, MisalignedGradientError, EvaluationError):
-                fallback_remaining = GRADIENT_FALLBACK_STEPS
-        tries = 0
+                pass
+        # Then unit gradient steps, whose slope |v . grad| is ||grad||.
+        tries, gradient = iter(tries), (DIRECTION_GRADIENT, -at.grad / grad_norm, grad_norm)
 
         def attempt(h):
-            nonlocal mode, v, slope, tries, fallback_remaining
-            if mode == DIRECTION_DOUBLE_DESCENT and tries == DAMPING_RETRY_BUDGET:
-                # Too much damping: revert to gradient descent for a while.
-                mode, v, slope = DIRECTION_GRADIENT, gradient_v, grad_norm
-                fallback_remaining = GRADIENT_FALLBACK_STEPS
-            tries += 1
-            step = _try_step(at, mode, h, v, slope, mode == DIRECTION_DOUBLE_DESCENT)
-            if step is not None and mode == DIRECTION_GRADIENT and fallback_remaining > 0:
-                fallback_remaining -= 1
+            nonlocal fallback
+            direction_name, v, slope = next(tries, gradient)
+            step = _try_step(at, direction_name, h, v, slope,
+                             direction_name == DIRECTION_DOUBLE_DESCENT)
+            if step is not None and direction_name == DIRECTION_GRADIENT:
+                fallback = (fallback or GRADIENT_FALLBACK_STEPS) - 1
             return step
 
         return attempt

@@ -444,3 +444,18 @@ def test_predictor_line_search_ends_at_a_null_step_without_evaluating(from_minim
     with pytest.raises(StepUnderflowError):
         _damped_step(StepController(), _predictor_attempt(p, x, np.full(2, 1e-30), *bounds))
     assert calls == Counter()
+
+
+@pytest.mark.parametrize("escape, hessian", [(escape_minimum, np.diag([2.0, 1.0])),
+                                             (escape_saddle, np.diag([1.0, -1.0]))])
+def test_escape_at_exact_critical_points_moves_by_noise_alone(escape, hessian):
+    # g is flat, so every iterate is an exact critical point (G = 0) whose
+    # inertia never changes: no predictor exists, and on both sides each
+    # step is a fresh kick until the budget runs out.
+    p = Potential(2, lambda x: 0.0, lambda x: np.zeros(2), lambda x: hessian.copy(),
+                  np.array([[-1.0, 1.0], [-1.0, 1.0]]), name="flat")
+    esc = escape(p, np.zeros(2), DiffusionConfig(max_diffusive_steps=6), NoiseSource(0))
+    assert esc.outcome == BUDGET_EXHAUSTED
+    assert esc.steps == len(esc.trajectory) == 6
+    assert all(t.predictor is None and t.step_size is None for t in esc.trajectory)
+    assert len({t.point.tobytes() for t in esc.trajectory}) == 6

@@ -380,6 +380,14 @@ def test_report_json_round_trip():
     assert json.loads(rep.to_json()) == rep.canonical_dict()
 
 
+def test_report_json_writes_a_numpy_count_as_its_number():
+    # A numpy integer passes the config's count checks, so its report must
+    # be written, and as the same text as for the plain int.
+    reports = [explore(make_molei(), ExplorationConfig(max_critical_points=n, seed=8))
+               for n in (np.int64(2), 2)]
+    assert reports[0].to_json(include_timing=False) == reports[1].to_json(include_timing=False)
+
+
 def test_explore_respects_config_region():
     # restrict to the right half-plane: only the (1, 0) basin is sampled
     p = dataclasses.replace(make_molei(), search_region=np.array([[0.5, 3.0], [-3.0, 3.0]]))

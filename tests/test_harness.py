@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -262,6 +263,24 @@ def test_emit_json_round_trip(tmp_path):
     path = tmp_path / "molei.json"
     emit_report(rep, "json", str(path))
     assert json.loads(path.read_text()) == rep.canonical_dict()
+
+
+def test_benchmark_report_writes_numpy_scalars_as_their_numbers():
+    texts = [run_benchmark(BenchmarkSpec("molei", ExplorationConfig(max_critical_points=2),
+                                         repetitions=reps, target_value=target))
+             .to_json(include_timing=False)
+             for reps, target in ((np.int64(1), np.float32(0.5)), (1, 0.5))]
+    assert texts[0] == texts[1]
+
+
+def test_emit_report_leaves_no_file_when_the_report_cannot_be_serialized(tmp_path):
+    spec = BenchmarkSpec("molei", ExplorationConfig(max_critical_points=2),
+                         target_value=Fraction(1, 2))
+    report = run_benchmark(spec)
+    path = tmp_path / "report.json"
+    with pytest.raises(TypeError):
+        emit_report(report, "json", str(path))
+    assert not path.exists()
 
 
 def test_table_csv_rows_shape():

@@ -309,18 +309,60 @@ def test_minimize_accepted_dd_steps_descend_directionally():
 
 
 def test_minimize_gradient_fallback_runs_five_steps():
-    # Start where the Hessian has no positive eigenvalue: the first five
-    # accepted steps must be gradient steps.
+    # On the y axis near camel's origin saddle the gradient lies almost
+    # wholly in the negative eigenspace, so the first step is a gradient
+    # step; five of them pass before double descent is tried again.
     p = make_camel()
-    start = np.array([0.05, 0.05])   # near the origin saddle, H indefinite
-    s = eigendecompose(p.hessian(start))
-    grad = p.gradient(start)
-    # gradient is dominated by the negative subspace here
+    start = np.array([0.0, 0.05])
+    with pytest.raises(MisalignedGradientError):
+        double_descent_direction(p.gradient(start), eigendecompose(p.hessian(start)))
     r = minimize(p, start)
     assert r.outcome == CONVERGED
-    if r.history and r.history[0].direction == DIRECTION_GRADIENT:
-        head = r.history[:5]
-        assert all(step.direction == DIRECTION_GRADIENT for step in head)
+    assert np.linalg.norm(r.final.x - (-0.0898, 0.7127)) < 1e-4
+    assert [h.direction for h in r.history[:6]] == [DIRECTION_GRADIENT] * 5 + [DIRECTION_DOUBLE_DESCENT]
+
+
+def _hessian_recorder(hessian):
+    """A Hessian function that also lists the points it is evaluated at:
+    minimize evaluates it only where it tries double descent."""
+    points = []
+
+    def recorded(x):
+        points.append(x.copy())
+        return hessian.copy()
+    return points, recorded
+
+
+def test_minimize_fallback_counter_when_double_descent_is_unavailable():
+    # g = -|x|^2 / 2 has no positive curvature anywhere.  Each try of double
+    # descent is followed by GRADIENT_FALLBACK_STEPS accepted gradient steps.
+    points, hessian = _hessian_recorder(-np.eye(2))
+    p = Potential(2, lambda x: -0.5 * x @ x, lambda x: -x, hessian,
+                  np.array([[-5.0, 5.0], [-5.0, 5.0]]), name="concave")
+    x0 = np.array([1.0, 0.5])
+    r = minimize(p, x0, Tolerances(max_iterations=12))
+    assert r.outcome == BUDGET_EXHAUSTED
+    assert all(h.direction == DIRECTION_GRADIENT for h in r.history)
+    tried_at = [x0, r.history[4].point, r.history[9].point]
+    assert len(points) == len(tried_at)
+    assert all(np.array_equal(a, b) for a, b in zip(points, tried_at))
+
+
+def test_minimize_fallback_counter_after_damping_retries_run_out():
+    # g is linear, so G is constant and no double-descent try can lower it,
+    # although the Hessian claims the curvature double descent needs.  Each
+    # iteration that tries it makes DAMPING_RETRY_BUDGET tries; the gradient
+    # try then runs at h / 2^10, and GRADIENT_FALLBACK_STEPS accepted
+    # gradient steps pass before the next such iteration.
+    points, hessian = _hessian_recorder(np.eye(1))
+    p = Potential(1, lambda x: -x[0], lambda x: np.array([-1.0]), hessian,
+                  np.array([[-5.0, 5.0]]), name="linear")
+    r = minimize(p, np.zeros(1), Tolerances(max_iterations=12))
+    assert r.outcome == BUDGET_EXHAUSTED
+    assert all(h.direction == DIRECTION_GRADIENT for h in r.history)
+    assert [h.step_size for h in r.history] == [
+        2.0 ** -k for k in (10, 9, 8, 7, 6, 15, 14, 13, 12, 11, 20, 19)]
+    assert [x[0] for x in points] == [0.0, r.history[4].point[0], r.history[9].point[0]]
 
 
 def test_minimize_step_underflow():
