@@ -12,7 +12,7 @@ import os
 import sys
 
 from .diffusion import DiffusionConfig, NoiseSource, escape_minimum
-from .explorer import ExplorationConfig
+from .explorer import ExplorationConfig, draw_start
 from .harness import (
     METHODS,
     AnnealConfig,
@@ -103,8 +103,7 @@ def _cmd_run(args) -> int:
 def _cmd_trace(args) -> int:
     p = get_potential(args.problem)
     noise = NoiseSource(args.seed)
-    x0 = noise.uniform_box(p.search_region)
-    result = minimize(p, x0)
+    result = minimize(p, draw_start(p, noise))
     if result.outcome != CONVERGED:
         print(f"initial minimization did not converge ({result.outcome})", file=sys.stderr)
         return 1

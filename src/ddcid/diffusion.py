@@ -146,20 +146,18 @@ def _predictor_attempt(p: Potential, x: np.ndarray, direction: np.ndarray,
                        g_bound: float | None, aux_bound: float | None):
     """Attempt at x - h direction for the damped line search, accepted when
     it lowers g below ``g_bound`` and G below ``aux_bound`` (a None bound is
-    not tested).  Returns the candidate and its G, if evaluated.  A
+    not evaluated).  Returns the candidate and its G, if evaluated.  A
     candidate equal to x bit for bit raises StepUnderflowError at once:
     every smaller h rounds to x as well, and x passes neither strict test."""
     def attempt(h):
-        cand = x - h * direction
-        if cand.tobytes() == x.tobytes():
+        cand = Point(p, x - h * direction)
+        if cand.x.tobytes() == x.tobytes():
             raise StepUnderflowError("predictor step rounds to the current point")
-        if g_bound is not None and not float(p.value(cand)) < g_bound:
+        if g_bound is not None and not cand.value < g_bound:
             return None
         if aux_bound is None:
-            return cand, None
-        grad = np.asarray(p.gradient(cand), dtype=float)
-        aux = 0.5 * float(grad @ grad)
-        return (cand, aux) if aux < aux_bound else None
+            return cand.x, None
+        return (cand.x, cand.aux) if cand.aux < aux_bound else None
     return attempt
 
 

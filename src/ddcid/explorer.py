@@ -35,9 +35,7 @@ KIND_SADDLE = "saddle"
 KIND_MAXIMUM = "maximum"
 KIND_DEGENERATE = "degenerate"
 
-# Bound on starting-point gradients; uniform draws above it are re-drawn
-# (e.g. nearly coincident atoms in a cluster).
-_SANE_GRADIENT = 1e8
+_SANE_GRADIENT = 1e8    # bound on a start draw's gradient norm
 _MAX_DRAW_TRIES = 200
 
 
@@ -234,23 +232,27 @@ def report_json(canonical: dict) -> str:
     return json.dumps(canonical, sort_keys=True, indent=2, default=np.generic.item)
 
 
+def draw_start(p: Potential, noise: NoiseSource) -> Point:
+    """A uniform draw from the search box with finite g and a sane gradient
+    (nearly coincident cluster atoms give more), redrawn up to
+    _MAX_DRAW_TRIES times: where fresh searches and traces start.  Raises
+    EvaluationError when every draw fails."""
+    for _ in range(_MAX_DRAW_TRIES):
+        try:
+            start = evaluate(p, noise.uniform_box(p.search_region))
+        except EvaluationError:
+            continue
+        if np.linalg.norm(start.grad) <= _SANE_GRADIENT:
+            return start
+    raise EvaluationError(f"no start with finite g and a sane gradient in {_MAX_DRAW_TRIES} draws")
+
+
 class _Explorer:
     def __init__(self, p: Potential, cfg: ExplorationConfig):
         self.p = p
         self.cfg = cfg
         self.noise = NoiseSource(cfg.seed)
         self.table = CriticalPointTable(default_dedup_radius(p.search_region))
-
-    def _draw_start(self) -> Point | None:
-        """A draw from the search box with finite g and a sane gradient, or None."""
-        for _ in range(_MAX_DRAW_TRIES):
-            try:
-                start = evaluate(self.p, self.noise.uniform_box(self.p.search_region))
-            except EvaluationError:
-                continue
-            if np.linalg.norm(start.grad) <= _SANE_GRADIENT:
-                return start
-        return None
 
     def _search_and_record(self, search, start: Point,
                            stats: AttemptStats) -> tuple[CriticalPoint, bool] | None:
@@ -273,8 +275,11 @@ class _Explorer:
     def _fresh_search(self, stats: AttemptStats) -> tuple[CriticalPoint, bool] | None:
         """Minimize from a random point in the search box; None on failure."""
         stats.episodes.append("fresh->minimize")
-        start = self._draw_start()
-        return None if start is None else self._search_and_record(minimize, start, stats)
+        try:
+            start = draw_start(self.p, self.noise)
+        except EvaluationError:
+            return None
+        return self._search_and_record(minimize, start, stats)
 
     def _escape_attempt(self, entry: CriticalPoint,
                         stats: AttemptStats) -> tuple[CriticalPoint, bool] | None:

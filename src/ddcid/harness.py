@@ -23,7 +23,7 @@ from .explorer import (
     explore,
     report_json,
 )
-from .local_search import CONVERGED, Tolerances, gradient_descent
+from .local_search import CONVERGED, Point, Tolerances, gradient_descent
 from .potentials import EvaluationError, Potential, get_potential
 
 METHODS = ("ddcid", "id_white", "mc_descent", "sim_anneal")
@@ -91,19 +91,17 @@ def metropolis_probability(g_current: float, g_new: float, temperature: float) -
 def simulated_annealing(p: Potential, cfg: AnnealConfig,
                         noise: NoiseSource) -> AnnealResult:
     """Metropolis random walk with a cooling schedule; returns the best
-    point ever visited."""
+    point ever visited.  Proposals with no finite g are skipped."""
     x = noise.uniform_box(p.search_region)
-    g = float(p.value(x))
+    g = Point(p, x).value
     best_x, best_g = x.copy(), g
     accepted = 0
     budget = cfg.iteration_budget
     for k in range(budget):
         proposal = x + cfg.neighbor_scale * noise.normal(p.dimension)
         try:
-            g_new = float(p.value(proposal))
+            g_new = Point(p, proposal).value
         except EvaluationError:
-            continue
-        if not math.isfinite(g_new):
             continue
         t = cfg.temperature(k / budget)
         if metropolis_probability(g, g_new, t) > noise.uniform(0.0, 1.0):
@@ -114,40 +112,45 @@ def simulated_annealing(p: Potential, cfg: AnnealConfig,
     return AnnealResult(best_x, best_g, accepted)
 
 
-def monte_carlo_descent(p: Potential, starts: int, tol: Tolerances,
-                        noise: NoiseSource) -> list[CriticalPoint]:
-    """Gradient descent from uniform random starts; returns the
-    deduplicated minima that converged."""
+def _record_descents(p: Potential, descents: int, tol: Tolerances, noise: NoiseSource,
+                     burst=None) -> list[CriticalPoint]:
+    """The recording loop of both descent baselines: ``descents`` gradient
+    descents, each recording its end point x when it converged.  With
+    ``burst``, the next starts from ``burst(x)`` (x is the start if it did not
+    converge); else, and after an EvaluationError, from a uniform draw."""
     table = CriticalPointTable(default_dedup_radius(p.search_region))
-    for _ in range(starts):
-        x0 = noise.uniform_box(p.search_region)
-        try:
-            result = gradient_descent(p, x0, tol)
-            if result.outcome != CONVERGED:
-                continue
-            table.record(classify(p, result.final, grad_tol=math.inf))
-        except EvaluationError:
-            continue
-    return table.entries
-
-
-def white_noise_intermittent_descent(p: Potential, cycles: int, noise: NoiseSource,
-                                     tol: Tolerances) -> list[CriticalPoint]:
-    """White-noise baseline: alternate noisy Euler-Maruyama bursts with
-    gradient descent, recording the minima reached after each burst."""
-    table = CriticalPointTable(default_dedup_radius(p.search_region))
-    x = noise.uniform_box(p.search_region)
-    for _ in range(cycles):
+    x = None
+    for _ in range(descents):
+        if x is None:
+            x = noise.uniform_box(p.search_region)
         try:
             result = gradient_descent(p, x, tol)
             if result.outcome == CONVERGED:
                 table.record(classify(p, result.final, grad_tol=math.inf))
                 x = result.final.x
-            for _ in range(WHITE_NOISE_BURST_STEPS):
-                x = white_noise_id_step(p, x, WHITE_NOISE_BURST_H, WHITE_NOISE_SIGMA, noise)
+            x = burst(x) if burst else None
         except EvaluationError:
-            x = noise.uniform_box(p.search_region)
+            x = None
     return table.entries
+
+
+def monte_carlo_descent(p: Potential, starts: int, tol: Tolerances,
+                        noise: NoiseSource) -> list[CriticalPoint]:
+    """Gradient descent from uniform random starts; returns the
+    deduplicated minima that converged."""
+    return _record_descents(p, starts, tol, noise)
+
+
+def white_noise_intermittent_descent(p: Potential, cycles: int, noise: NoiseSource,
+                                     tol: Tolerances) -> list[CriticalPoint]:
+    """White-noise baseline: alternate gradient descent with noisy
+    Euler-Maruyama bursts, recording the minima reached before each burst."""
+    def burst(x):
+        for _ in range(WHITE_NOISE_BURST_STEPS):
+            x = white_noise_id_step(p, x, WHITE_NOISE_BURST_H, WHITE_NOISE_SIGMA, noise)
+        return x
+
+    return _record_descents(p, cycles, tol, noise, burst)
 
 
 @dataclass
@@ -212,14 +215,11 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkReport:
             result = simulated_annealing(p, spec.anneal or AnnealConfig(), NoiseSource(seed))
             entries = [classify(p, result.point, grad_tol=math.inf)]
             fields = {"best_value": result.value, "accepted_moves": result.accepted_moves}
-        else:
-            if spec.method == "mc_descent":
-                entries = monte_carlo_descent(p, spec.mc_starts, spec.config.tolerances,
-                                              NoiseSource(seed))
-            else:   # id_white
-                entries = white_noise_intermittent_descent(
-                    p, spec.config.max_critical_points, NoiseSource(seed),
-                    spec.config.tolerances)
+        else:   # the descent baselines
+            noise, tol = NoiseSource(seed), spec.config.tolerances
+            entries = (monte_carlo_descent(p, spec.mc_starts, tol, noise)
+                       if spec.method == "mc_descent" else
+                       white_noise_intermittent_descent(p, spec.config.max_critical_points, noise, tol))
             fields = {"best_value": min((e.value for e in entries), default=None),
                       "minima_found": len(entries)}
         for entry in entries:

@@ -96,17 +96,31 @@ class Tolerances:
 
 @dataclass(eq=False)
 class Point:
-    """A point x with g, grad g and G = |grad g|^2 / 2 at x.  Its Hessian and
-    that Hessian's eigendecomposition are computed at most once, on first
-    use, so each stage that hands the point on shares its evaluations."""
+    """A point x of the potential p whose g, grad g, G = |grad g|^2 / 2,
+    Hessian and eigendecomposition are each evaluated once, on first use, and
+    shared by every stage the point passes.  A non-finite g or grad g raises
+    EvaluationError: the one finiteness rule."""
 
     p: Potential = field(repr=False)
     x: np.ndarray
-    value: float
-    grad: np.ndarray
 
-    def __post_init__(self):
-        self.aux = 0.5 * float(self.grad @ self.grad)
+    @cached_property
+    def value(self) -> float:
+        value = float(self.p.value(self.x))
+        if not math.isfinite(value):
+            raise EvaluationError("non-finite value")
+        return value
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        grad = np.asarray(self.p.gradient(self.x), dtype=float)
+        if not np.isfinite(grad).all():
+            raise EvaluationError("non-finite gradient")
+        return grad
+
+    @cached_property
+    def aux(self) -> float:
+        return 0.5 * float(self.grad @ self.grad)
 
     @cached_property
     def hessian(self) -> np.ndarray:
@@ -118,19 +132,12 @@ class Point:
 
 
 def evaluate(p: Potential, x: Point | np.ndarray) -> Point:
-    """The point x with g and grad g evaluated, or x itself when it already
-    is a Point: the conversion each public entry point makes once, at its
-    boundary.  Raises EvaluationError when g or grad g is not finite."""
-    if isinstance(x, Point):
-        return x
-    x = np.array(x, dtype=float)
-    value = float(p.value(x))
-    if not math.isfinite(value):
-        raise EvaluationError("non-finite value")
-    grad = np.asarray(p.gradient(x), dtype=float)
-    if not np.isfinite(grad).all():
-        raise EvaluationError("non-finite gradient")
-    return Point(p, x, value, grad)
+    """x as a Point (a copy of an array; a Point itself) with g and grad g
+    evaluated: the boundary each public entry point crosses once.  Raises
+    EvaluationError when g or grad g is not finite."""
+    at = x if isinstance(x, Point) else Point(p, np.array(x, dtype=float))
+    at.value, at.grad   # evaluated here, in this order, or raise here
+    return at
 
 
 @dataclass
@@ -211,26 +218,16 @@ def _damped_step(ctrl: StepController, attempt):
         ctrl.reject()
 
 
-def _try_step(at: Point, direction_name: str, h: float, v: np.ndarray,
-              slope: float | None, lower_aux: bool):
-    """Evaluate x + h v from ``at``; return the step (with its Point) or None.
-
-    The step needs finite g and grad g.  Unless ``slope`` is None, g must
-    decrease appreciably: g_new <= g - SUFFICIENT_DECREASE h slope.  With
-    ``lower_aux``, G must also strictly decrease.  The gradient is only
-    evaluated once the g test passes.
-    """
-    candidate = at.x + h * v
-    g_new = float(at.p.value(candidate))
-    if not math.isfinite(g_new):
+def _try_step(at: Point, direction_name: str, h: float, v: np.ndarray, slope: float | None):
+    """The step to x + h v from ``at`` (with its Point), or None.  Unless
+    ``slope`` is None, g must decrease appreciably: g_new <= g -
+    SUFFICIENT_DECREASE h slope; the gradient is evaluated only then.  Every
+    step but a plain gradient step must also strictly decrease G."""
+    new = Point(at.p, at.x + h * v)
+    if slope is not None and new.value > at.value - SUFFICIENT_DECREASE * h * slope:
         return None
-    if slope is not None and g_new > at.value - SUFFICIENT_DECREASE * h * slope:
-        return None
-    grad_new = np.asarray(at.p.gradient(candidate), dtype=float)
-    if not np.isfinite(grad_new).all():
-        return None
-    new = Point(at.p, candidate, g_new, grad_new)
-    if lower_aux and not new.aux < at.aux:
+    evaluate(at.p, new)
+    if direction_name != DIRECTION_GRADIENT and not new.aux < at.aux:
         return None
     return direction_name, v, new
 
@@ -296,8 +293,7 @@ def minimize(p: Potential, x0: Point | np.ndarray,
         def attempt(h):
             nonlocal fallback
             direction_name, v, slope = next(tries, gradient)
-            step = _try_step(at, direction_name, h, v, slope,
-                             direction_name == DIRECTION_DOUBLE_DESCENT)
+            step = _try_step(at, direction_name, h, v, slope)
             if step is not None and direction_name == DIRECTION_GRADIENT:
                 fallback = (fallback or GRADIENT_FALLBACK_STEPS) - 1
             return step
@@ -321,7 +317,7 @@ def saddle_search(p: Potential, x0: Point | np.ndarray,
         if not v.any():
             # Gradient entirely outside range(H): no Newton direction exists.
             return None
-        return lambda h: _try_step(at, DIRECTION_NEWTON, h, v, None, True)
+        return lambda h: _try_step(at, DIRECTION_NEWTON, h, v, None)
 
     return _search(p, x0, tol, next_attempt)
 
@@ -334,6 +330,6 @@ def gradient_descent(p: Potential, x0: Point | np.ndarray,
     def next_attempt(at):
         grad_norm = _norm(at.grad)
         v = -at.grad / grad_norm
-        return lambda h: _try_step(at, DIRECTION_GRADIENT, h, v, grad_norm, False)
+        return lambda h: _try_step(at, DIRECTION_GRADIENT, h, v, grad_norm)
 
     return _search(p, x0, tol, next_attempt)

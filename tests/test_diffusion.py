@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -21,11 +22,12 @@ from ddcid.local_search import (
     StepController,
     StepUnderflowError,
     _damped_step,
+    _try_step,
     evaluate,
     minimize,
     saddle_search,
 )
-from ddcid.potentials import Potential, make_molei
+from ddcid.potentials import EvaluationError, Potential, make_molei
 from ddcid.spectral import eigendecompose
 
 
@@ -444,6 +446,35 @@ def test_predictor_line_search_ends_at_a_null_step_without_evaluating(from_minim
     with pytest.raises(StepUnderflowError):
         _damped_step(StepController(), _predictor_attempt(p, x, np.full(2, 1e-30), *bounds))
     assert calls == Counter()
+
+
+@pytest.mark.parametrize("broken", ["value", "gradient"])
+def test_both_attempt_builders_reject_a_non_finite_g_or_gradient(broken):
+    # g = x^2 - y^2, except that g = -inf, or grad g = nan, where x > 1.5.
+    # The step from (1, 0.1) to (2, 0.1) lands there.  _try_step without a
+    # slope tests no bound; the predictor's g bound passes -inf, and its G
+    # bound is +inf.  So only the finiteness rule can reject.  A rejection is
+    # a None or an EvaluationError, as the damped line search reads either.
+    def value(x):
+        return -math.inf if broken == "value" and x[0] > 1.5 else x[0] ** 2 - x[1] ** 2
+
+    def gradient(x):
+        return np.full(2, np.nan) if broken == "gradient" and x[0] > 1.5 else np.array([2 * x[0], -2 * x[1]])
+
+    p = Potential(2, value, gradient, lambda x: np.diag([2.0, -2.0]),
+                  np.array([[-3.0, 3.0], [-3.0, 3.0]]), name="cliff")
+    x = np.array([1.0, 0.1])
+    at = evaluate(p, x)
+    bounds = (at.value, None) if broken == "value" else (None, math.inf)
+
+    def rejects(attempt):
+        try:
+            return attempt(1.0) is None
+        except EvaluationError:
+            return True
+
+    assert rejects(lambda h: _try_step(at, "gradient", h, np.array([1.0, 0.0]), None))
+    assert rejects(_predictor_attempt(p, x, np.array([-1.0, 0.0]), *bounds))
 
 
 @pytest.mark.parametrize("escape, hessian", [(escape_minimum, np.diag([2.0, 1.0])),

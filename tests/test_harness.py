@@ -28,8 +28,8 @@ from ddcid.harness import (
     white_noise_intermittent_descent,
     write_trajectory_csv,
 )
-from ddcid.local_search import Tolerances
-from ddcid.potentials import Potential, get_potential, make_molei, make_shubert
+from ddcid.local_search import STEP_UNDERFLOW, LocalSearchResult, Tolerances, evaluate
+from ddcid.potentials import EvaluationError, Potential, get_potential, make_molei, make_shubert
 
 CSV_HEADER_2D = ["x1", "x2", "g", "grad_norm", "n_plus", "n_zero", "n_minus",
                  "kind", "occurrences"]
@@ -81,6 +81,18 @@ def test_annealing_finds_molei_minimum():
         result = simulated_annealing(p, cfg, NoiseSource(seed))
         hits += result.value < 1e-2
     assert hits >= 3
+
+
+def test_annealing_skips_proposals_whose_value_is_not_finite():
+    # g = -inf right of x = 0.5 would be the best value of all; a proposal
+    # there is skipped, not accepted, so the best point stays on the left.
+    # The start is drawn left of it, near the minimum at 0.
+    quad = make_quadratic()
+    p = Potential(2, lambda x: -math.inf if x[0] > 0.5 else quad.value(x), quad.gradient,
+                  quad.hessian, np.array([[-4.0, 0.5], [-4.0, 4.0]]), name="cliff")
+    result = simulated_annealing(p, AnnealConfig(iteration_budget=500), NoiseSource(0))
+    assert math.isfinite(result.value) and result.point[0] <= 0.5
+    assert result.accepted_moves > 0
 
 
 # --- Monte-Carlo gradient descent --------------------------------------------------
@@ -379,3 +391,33 @@ def test_cli_trace(tmp_path):
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0][0] == "step"
     assert len(rows) >= 2
+
+
+def test_cli_trace_redraws_a_start_as_the_explorer_does(tmp_path, monkeypatch):
+    # lj:5 seed 1's first uniform draw has |grad g| = 2.45e20; the trace
+    # redraws it, as the explorer's fresh searches do, before minimizing.
+    p = get_potential("lj:5")
+    first = NoiseSource(1).uniform_box(p.search_region)
+    assert np.linalg.norm(p.gradient(first)) > 1e8
+    starts = []
+
+    def minimize(p, x0, tol=None):
+        starts.append(evaluate(p, x0))
+        return LocalSearchResult(starts[-1], 0, STEP_UNDERFLOW)
+
+    monkeypatch.setattr("ddcid.cli.minimize", minimize)
+    assert main(["trace", "--problem", "lj:5", "--seed", "1",
+                 "--out", str(tmp_path / "traj.csv")]) == 1
+    [start] = starts
+    assert np.linalg.norm(start.grad) <= 1e8
+
+
+def test_cli_trace_exits_1_when_no_start_can_be_drawn(tmp_path, monkeypatch, capsys):
+    def fail(x):
+        raise EvaluationError("unusable everywhere")
+
+    broken = Potential(2, fail, fail, fail, np.array([[-1.0, 1.0], [-1.0, 1.0]]), name="broken")
+    monkeypatch.setattr("ddcid.cli.get_potential", lambda key: broken)
+    assert main(["trace", "--problem", "broken", "--out", str(tmp_path / "traj.csv")]) == 1
+    assert "error: no start with finite g" in capsys.readouterr().err
+    assert not (tmp_path / "traj.csv").exists()

@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 digest per run of a fixed set of runs, to check that a
+change leaves every report, CLI file and CLI output byte-identical.
+
+    python3 tools/report_digests.py > digests.txt
+
+Run it from two checkouts (or twice from one) and ``diff`` the outputs; the
+program is imported from the ``src/`` next to this script.  It takes no
+options.  Each line is a label and the SHA-256 of:
+
+- ``to_json(include_timing=False)`` of an ``explore`` run, or the minima
+  JSON of a Monte-Carlo descent, for every run of both benchmark workloads
+  (``perfbench/workloads.py``), camel seeds 0-9 at budget 100, molei seeds
+  0-9 at budget 4, boggs seeds 0-9 at budget 20, ``lj:2``...``lj:8`` seeds
+  0-1 at budget 30 (``lj:6`` seeds 0-9) and ``morse:11:3`` seeds 0-1 at
+  budget 40: 74 runs;
+- ``run_benchmark(...).to_json(include_timing=False)`` on camel for each
+  method;
+- the exit code, standard output, standard error and written file of seven
+  CLI commands, run in an empty directory.
+"""
+
+import os
+
+# One BLAS thread, as the tests and the benchmark run; the variables are
+# read when numpy loads, which is below.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import ddcid  # noqa: E402
+import workloads  # noqa: E402
+from ddcid.cli import main as cli_main  # noqa: E402
+from ddcid.harness import METHODS  # noqa: E402
+
+# (problem, seeds, budget) of the explore runs beside the workloads.
+EXPLORE_RUNS = ([("camel", range(10), 100), ("molei", range(10), 4), ("boggs", range(10), 20)]
+                + [(f"lj:{d}", range(10 if d == 6 else 2), 30) for d in range(2, 9)]
+                + [("morse:11:3", range(2), 40)])
+
+CLI_COMMANDS = [
+    ["run", "--problem", "molei", "--format", "csv", "--out", "molei.csv"],
+    ["run", "--problem", "camel", "--reps", "2", "--format", "csv", "--out", "camel.csv"],
+    ["run", "--problem", "molei", "--method", "mc_descent", "--format", "csv",
+     "--out", "mc.csv"],
+    ["trace", "--problem", "molei", "--seed", "3", "--out", "trace.csv"],
+    ["trace", "--problem", "camel", "--seed", "1", "--out", "trace.csv"],
+    ["trace", "--problem", "lj:5", "--seed", "0", "--out", "trace.csv"],
+    ["trace", "--problem", "boggs", "--seed", "2", "--out", "trace.csv"],
+]
+
+
+def sha256(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def cli_digest(argv: list[str]) -> str:
+    """Digest of one CLI command run in a fresh empty directory."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main(argv)
+            path = Path(argv[argv.index("--out") + 1])
+            written = path.read_bytes() if path.exists() else b""
+        finally:
+            os.chdir(cwd)
+    return sha256(f"{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode() + written)
+
+
+def main() -> int:
+    os.environ.pop("DDCID_OUT_DIR", None)
+    for workload, runs in workloads.WORKLOADS.items():
+        for run in runs:
+            outcome = workloads.execute(ddcid, run, ddcid.get_potential(run.problem))
+            print(f"{workload}: {run.label}  {outcome.digest or outcome.error}")
+    for problem, seeds, budget in EXPLORE_RUNS:
+        p = ddcid.get_potential(problem)
+        for seed in seeds:
+            report = ddcid.explore(p, ddcid.ExplorationConfig(max_critical_points=budget, seed=seed))
+            print(f"explore {problem} seed={seed} budget={budget}  "
+                  f"{sha256(report.to_json(include_timing=False))}")
+    for method in METHODS:
+        report = ddcid.run_benchmark(ddcid.BenchmarkSpec("camel", method=method))
+        print(f"run_benchmark camel method={method}  {sha256(report.to_json(include_timing=False))}")
+    for argv in CLI_COMMANDS:
+        print(f"ddcid {' '.join(argv)}  {cli_digest(argv)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
