@@ -58,8 +58,8 @@ class DiffusionConfig:
     max_diffusive_steps: int = 50
 
     def __post_init__(self):
-        if not self.alpha > 0:   # also rejects NaN
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:   # also rejects NaN
+            raise ValueError("alpha must be positive and finite")
         if not (isinstance(self.max_diffusive_steps, Integral) and self.max_diffusive_steps >= 1):
             raise ValueError("max_diffusive_steps must be an integer >= 1")
 

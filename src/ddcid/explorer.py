@@ -228,8 +228,10 @@ def report_json(canonical: dict) -> str:
     """The JSON text of a report's canonical dict, the one writer of every
     report.  A numpy scalar, say from a config field, is written as the
     number it holds (``np.generic.item``, which raises TypeError on any
-    other value that JSON has no form for)."""
-    return json.dumps(canonical, sort_keys=True, indent=2, default=np.generic.item)
+    other value that JSON has no form for).  NaN and infinities, which
+    strict JSON has no form for either, raise ValueError."""
+    return json.dumps(canonical, sort_keys=True, indent=2, default=np.generic.item,
+                      allow_nan=False)
 
 
 def draw_start(p: Potential, noise: NoiseSource) -> Point:

@@ -53,8 +53,10 @@ class BenchmarkSpec:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         if not (isinstance(self.mc_starts, Integral) and self.mc_starts >= 1):
             raise ValueError("mc_starts must be an integer >= 1")
-        if not self.target_tol >= 0:   # also rejects NaN
-            raise ValueError("target_tol must be >= 0")
+        if not (self.target_value is None or math.isfinite(self.target_value)):
+            raise ValueError("target_value must be finite")
+        if not 0 <= self.target_tol < math.inf:   # also rejects NaN
+            raise ValueError("target_tol must be finite and >= 0")
 
 
 @dataclass
@@ -65,8 +67,8 @@ class AnnealConfig:
     def __post_init__(self):
         if not (isinstance(self.iteration_budget, Integral) and self.iteration_budget >= 1):
             raise ValueError("iteration_budget must be an integer >= 1")
-        if not self.neighbor_scale > 0:   # also rejects NaN
-            raise ValueError("neighbor_scale must be positive")
+        if not 0 < self.neighbor_scale < math.inf:   # also rejects NaN
+            raise ValueError("neighbor_scale must be positive and finite")
 
     def temperature(self, ratio: float) -> float:
         """Linear cooling from T = 1 at iteration ratio 0, kept positive."""

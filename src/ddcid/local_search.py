@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -84,14 +83,30 @@ class Tolerances:
     max_iterations: int = 500
 
     def __post_init__(self):
-        if not (self.atol > 0 and self.rtol >= 0):   # also rejects NaN
-            raise ValueError("need atol > 0 and rtol >= 0")
+        if not (0 < self.atol < math.inf and 0 <= self.rtol < math.inf):   # also rejects NaN
+            raise ValueError("need finite atol > 0 and rtol >= 0")
         if not (isinstance(self.max_iterations, Integral) and self.max_iterations >= 1):
             raise ValueError("need an integer max_iterations >= 1")
 
     def threshold(self, reference_norm: float) -> float:
         """atol + rtol * reference_norm: the starting gradient norm or point norm."""
         return self.atol + reference_norm * self.rtol
+
+
+class _lazy:
+    """A lazy attribute without a lock (functools.cached_property takes one
+    before Python 3.12).  The first read stores the value in the instance
+    ``__dict__``, which every later read finds ahead of this non-data
+    descriptor; a computation that raises stores nothing."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, point, owner=None):
+        if point is None:
+            return self
+        value = point.__dict__[self.name] = self.compute(point)
+        return value
 
 
 @dataclass(eq=False)
@@ -104,29 +119,30 @@ class Point:
     p: Potential = field(repr=False)
     x: np.ndarray
 
-    @cached_property
+    @_lazy
     def value(self) -> float:
         value = float(self.p.value(self.x))
         if not math.isfinite(value):
             raise EvaluationError("non-finite value")
         return value
 
-    @cached_property
+    @_lazy
     def grad(self) -> np.ndarray:
         grad = np.asarray(self.p.gradient(self.x), dtype=float)
         if not np.isfinite(grad).all():
             raise EvaluationError("non-finite gradient")
         return grad
 
-    @cached_property
+    @_lazy
     def aux(self) -> float:
-        return 0.5 * float(self.grad @ self.grad)
+        grad = self.grad
+        return 0.5 * float(grad.dot(grad))
 
-    @cached_property
+    @_lazy
     def hessian(self) -> np.ndarray:
         return self.p.hessian(self.x)
 
-    @cached_property
+    @_lazy
     def spectral(self) -> SpectralInfo:
         return eigendecompose(self.hessian)
 
@@ -284,7 +300,7 @@ def minimize(p: Potential, x0: Point | np.ndarray,
         if fallback == 0:
             try:
                 v = double_descent_direction(at.grad, at.spectral)
-                tries = [(DIRECTION_DOUBLE_DESCENT, v, abs(float(v @ at.grad)))] * DAMPING_RETRY_BUDGET
+                tries = [(DIRECTION_DOUBLE_DESCENT, v, abs(float(v.dot(at.grad))))] * DAMPING_RETRY_BUDGET
             except (NoPositiveSubspaceError, MisalignedGradientError, EvaluationError):
                 pass
         # Then unit gradient steps, whose slope |v . grad| is ||grad||.

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.linalg
@@ -80,7 +81,7 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     # Deterministic sign, set in place: first nonzero component of each column positive.
     if vectors.size:
         leading = vectors[(vectors != 0).argmax(axis=0), np.arange(vectors.shape[1])]
-        vectors *= np.where(leading < 0, -1.0, 1.0)
+        vectors *= np.copysign(1.0, leading)
     return vectors
 
 
@@ -95,10 +96,12 @@ def eigendecompose(H: np.ndarray) -> SpectralInfo:
     eigenvalues = w[::-1].copy()
     eigenvectors = _fix_signs(v[:, ::-1].copy())
     n = eigenvalues.size
-    scale = float(np.abs(eigenvalues).max()) if n else 0.0
+    # max |lam| is at one end of the sorted eigenvalues.
+    scale = max(float(eigenvalues[0]), -float(eigenvalues[-1])) if n else 0.0
     zero_tol = n * _EPS * max(1.0, scale)
-    n_plus = int(np.count_nonzero(eigenvalues > zero_tol))
-    n_minus = int(np.count_nonzero(eigenvalues < -zero_tol))
+    # w ascends: n_minus eigenvalues lie below -zero_tol and n_plus above zero_tol.
+    n_minus = int(w.searchsorted(-zero_tol))
+    n_plus = n - int(w.searchsorted(zero_tol, side="right"))
     return SpectralInfo(eigenvalues, eigenvectors, (n_plus, n - n_plus - n_minus, n_minus))
 
 
@@ -115,14 +118,17 @@ def positive_part_pseudoinverse(s: SpectralInfo) -> np.ndarray:
     return (v_plus / s.positive_eigenvalues) @ v_plus.T
 
 
-def _lapack(routine, *args, **kwargs) -> list:
-    """Call a scipy.linalg.lapack routine as scipy.linalg does; info must be 0."""
-    if kwargs.get("lwork") == -1:
-        kwargs["lwork"] = int(routine(*args, **kwargs)[-2][0])
-    *out, info = routine(*args, **kwargs)
+@cache
+def _workspaces(n: int) -> tuple[int, int]:
+    """The optimal workspace sizes of dgeqp3 and dorgqr at order n, as
+    scipy.linalg.qr queries them; they depend on n alone."""
+    a, tau = np.zeros((n, n)), np.zeros(n)
+    return int(dgeqp3(a, lwork=-1)[-2][0]), int(dorgqr(a, tau, lwork=-1)[-2][0])
+
+
+def _check(routine, info: int) -> None:
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK {routine.__name__} returned info {info}")
-    return out
 
 
 def newton_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -141,16 +147,20 @@ def newton_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.zeros(0)
     # The LAPACK calls of scipy.linalg.qr(H, pivoting=True) and solve_triangular.
     # R is the upper triangle of qr; dorgqr works on a copy and leaves it.
-    qr, jpvt, tau, _ = _lapack(dgeqp3, H, lwork=-1)
-    q, _ = _lapack(dorgqr, qr, tau, lwork=-1)
-    diag = np.abs(np.diag(qr))
+    lwork_qr, lwork_q = _workspaces(n)
+    qr, jpvt, tau, _, info = dgeqp3(H, lwork=lwork_qr)
+    _check(dgeqp3, info)
+    q, _, info = dorgqr(qr, tau, lwork=lwork_q)
+    _check(dorgqr, info)
+    diag = np.abs(qr.diagonal())
     if diag[0] == 0.0:
         return np.zeros(n)
     rank = int(np.count_nonzero(diag > n * _EPS * diag[0]))
     c = q.T @ rhs
     if rank == n:
         # As solve_triangular does: L^T z = c for L = qr.T, read as lower-triangular.
-        z, = _lapack(dtrtrs, qr.T, c, lower=1, trans=1)
+        z, info = dtrtrs(qr.T, c, lower=1, trans=1)
+        _check(dtrtrs, info)
     else:
         # Minimum-norm solution of the consistent rows R[:rank] z = c[:rank].
         z, *_ = scipy.linalg.lstsq(np.triu(qr[:rank, :]), c[:rank])

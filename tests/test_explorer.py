@@ -24,6 +24,7 @@ from ddcid.explorer import (
     default_dedup_radius,
     explore,
     kind_from_inertia,
+    report_json,
     select_escape_target,
 )
 from ddcid.local_search import (
@@ -388,6 +389,13 @@ def test_report_json_writes_a_numpy_count_as_its_number():
     assert reports[0].to_json(include_timing=False) == reports[1].to_json(include_timing=False)
 
 
+def test_report_json_rejects_non_finite_numbers():
+    # Strict JSON has no NaN or Infinity.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            report_json({"atol": bad})
+
+
 def test_explore_respects_config_region():
     # restrict to the right half-plane: only the (1, 0) basin is sampled
     p = dataclasses.replace(make_molei(), search_region=np.array([[0.5, 3.0], [-3.0, 3.0]]))
@@ -415,9 +423,11 @@ def test_exploration_config_validation():
 ])
 def test_config_rejects_nan(config, field_name):
     # NaN passes a `<=` range check; with max_diffusive_steps=nan an escape
-    # whose inertia never changes would never stop.
-    with pytest.raises(ValueError):
-        config(**{field_name: math.nan})
+    # whose inertia never changes would never stop.  An infinite atol ends
+    # every search at its start.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            config(**{field_name: bad})
 
 
 @pytest.mark.parametrize("config, field_name", [

@@ -161,10 +161,16 @@ def test_benchmark_spec_rejects_mc_starts_below_one(starts):
         BenchmarkSpec(problem="camel", method="mc_descent", mc_starts=starts)
 
 
-@pytest.mark.parametrize("tol", [-1e-3, math.nan])
+@pytest.mark.parametrize("tol", [-1e-3, math.nan, math.inf])
 def test_benchmark_spec_rejects_negative_target_tol(tol):
     with pytest.raises(ValueError):
         BenchmarkSpec(problem="camel", target_value=0.0, target_tol=tol)
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_benchmark_spec_rejects_non_finite_target_value(target):
+    with pytest.raises(ValueError):
+        BenchmarkSpec(problem="camel", target_value=target)
 
 
 def test_anneal_config_rejects_empty_budget():
@@ -186,7 +192,7 @@ def test_harness_settings_reject_non_integer_counts(config, field_name):
     assert getattr(make(**{field_name: np.int64(3)}), field_name) == 3
 
 
-@pytest.mark.parametrize("scale", [0.0, -0.5, math.nan])
+@pytest.mark.parametrize("scale", [0.0, -0.5, math.nan, math.inf])
 def test_anneal_config_rejects_nonpositive_neighbor_scale(scale):
     with pytest.raises(ValueError):
         AnnealConfig(neighbor_scale=scale)
@@ -361,6 +367,24 @@ def test_cli_nan_explorer_setting_exit_code(tmp_path, capsys, option):
     out = tmp_path / "report.json"
     assert main(["run", "--problem", "camel", "--budget", "3", "--out", str(out),
                  option, "nan"]) == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--atol", "inf"],
+    ["--rtol", "inf"],
+    ["--alpha", "inf"],
+    ["--target", "inf"],
+    ["--target-tol", "inf"],
+    ["--method", "sim_anneal", "--neighbor-scale", "inf"],
+])
+def test_cli_infinite_setting_exit_code(tmp_path, capsys, args):
+    # With --atol inf every search would stop at its start, and the report
+    # would hold the start point and an "atol": Infinity no strict JSON
+    # parser reads.
+    out = tmp_path / "report.json"
+    assert main(["run", "--problem", "molei", "--budget", "2", "--out", str(out)] + args) == 1
     assert "error" in capsys.readouterr().err
     assert not out.exists()
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from ddcid.local_search import (
     DIRECTION_GRADIENT,
     STEP_UNDERFLOW,
     MisalignedGradientError,
+    Point,
     StepController,
     Tolerances,
     _damped_step,
     alignment_threshold,
     double_descent_direction,
+    evaluate,
     gradient_descent,
     minimize,
     saddle_search,
@@ -45,6 +48,77 @@ def random_spectrum_instance(rng, n, require_positive=True):
         lam[rng.integers(n)] *= -1.0
     h = q @ np.diag(lam) @ q.T
     return 0.5 * (h + h.T)
+
+
+# --- Point -------------------------------------------------------------------
+
+def counted_camel(calls, fail=None, how="nan"):
+    """The camel potential, with each value, gradient and Hessian call
+    appended by name to ``calls``.  The call named ``fail`` returns NaN
+    (``how="nan"``) or raises EvaluationError (``how="raise"``)."""
+    base = make_camel()
+
+    def counted(name, fn):
+        def call(x):
+            calls.append(name)
+            if name == fail:
+                if how == "raise":
+                    raise EvaluationError(f"{name} failed")
+                return fn(x) * math.nan
+            return fn(x)
+        return call
+
+    return Potential(2, counted("value", base.value), counted("gradient", base.gradient),
+                     counted("hessian", base.hessian), base.search_region, name="counted-camel")
+
+
+X_POINT = np.array([0.3, -0.4])
+
+
+def test_point_evaluates_each_quantity_once_on_first_use(monkeypatch):
+    calls, decompositions = [], []
+
+    def counted_eigendecompose(h):
+        decompositions.append(h)
+        return eigendecompose(h)
+
+    monkeypatch.setattr("ddcid.local_search.eigendecompose", counted_eigendecompose)
+    at = Point(counted_camel(calls), X_POINT)
+    assert calls == []
+    first = [at.value, at.grad, at.aux, at.hessian, at.spectral]
+    assert calls == ["value", "gradient", "hessian"]
+    assert len(decompositions) == 1
+    for _ in range(3):
+        assert all(a is b for a, b in zip([at.value, at.grad, at.aux, at.hessian, at.spectral],
+                                          first))
+    assert evaluate(at.p, at) is at
+    assert calls == ["value", "gradient", "hessian"]
+    assert len(decompositions) == 1
+
+
+@pytest.mark.parametrize("how", ["nan", "raise"])
+@pytest.mark.parametrize("name, attribute", [("value", "value"), ("gradient", "grad")])
+def test_point_caches_no_failed_evaluation(name, attribute, how):
+    # A failed g or grad g is not stored: each read calls the potential
+    # again and raises again.
+    calls = []
+    at = Point(counted_camel(calls, fail=name, how=how), X_POINT)
+    for reads in (1, 2, 3):
+        with pytest.raises(EvaluationError):
+            getattr(at, attribute)
+        assert calls.count(name) == reads
+    assert name not in at.__dict__
+
+
+def test_evaluate_forces_value_before_gradient():
+    calls = []
+    evaluate(counted_camel(calls), X_POINT)
+    assert calls == ["value", "gradient"]
+    # A failed g raises before grad g is evaluated.
+    calls.clear()
+    with pytest.raises(EvaluationError):
+        evaluate(counted_camel(calls, fail="value"), X_POINT)
+    assert calls == ["value"]
 
 
 # --- StepController ----------------------------------------------------------
