@@ -25,14 +25,26 @@ from .local_search import CONVERGED, Tolerances, minimize
 from .potentials import available_problems, get_potential
 
 
+_FLOAT_OPTIONS = {"--alpha", "--atol", "--rtol", "--target", "--target-tol", "--neighbor-scale"}
+
+
+def _join_float_values(argv: list[str]) -> list[str]:
+    """argv with each float option joined to the next token as "--option=value":
+    argparse reads "-1e1" or "-inf" after an option as an option (only "-1" and
+    "-.5" look like numbers to it), but passes a joined value to float()."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in _FLOAT_OPTIONS:
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def _output_path(out: str | None, problem: str, method: str, fmt: str) -> str:
-    out_dir = os.environ.get("DDCID_OUT_DIR", ".")
     if out is None:
-        safe = problem.replace(":", "_")
-        return os.path.join(out_dir, f"{safe}_{method}.{fmt}")
-    if os.path.dirname(out):
-        return out
-    return os.path.join(out_dir, out)
+        out = f"{problem.replace(':', '_')}_{method}.{fmt}"
+    return out if os.path.dirname(out) else os.path.join(os.environ.get("DDCID_OUT_DIR", "."), out)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -116,7 +128,8 @@ def _cmd_trace(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_join_float_values(argv))
     try:
         if args.command == "list-problems":
             for key in available_problems():

@@ -20,7 +20,8 @@ from .local_search import (
     evaluate,
 )
 from .potentials import Potential
-from .spectral import NoPositiveSubspaceError, SpectralInfo, newton_solve
+from .spectral import (KIND_MINIMUM, NoPositiveSubspaceError, SpectralInfo, kind_from_inertia,
+                       newton_solve)
 
 ESCAPED = "escaped"
 # Relative gap below which extremal eigenvalues count as repeated.
@@ -66,22 +67,21 @@ class DiffusionConfig:
 
 @dataclass
 class TrajectoryStep:
-    index: int
     point: np.ndarray
     value: float
     aux_value: float
     inertia: tuple[int, int, int]
+    step_size: float | None = None        # of the predictor that led here; None after a kick
     predictor: np.ndarray | None = None   # deterministic part of the move
-    step_size: float | None = None
-    predictor_aux: float | None = None    # G at the accepted predictor, if evaluated
 
 
 @dataclass
 class EscapeResult:
     final: Point                  # the last iterate, with its evaluations
-    steps: int
     outcome: str
     trajectory: list[TrajectoryStep] = field(default_factory=list)
+
+    steps = property(lambda self: len(self.trajectory))
 
 
 def _extremal_direction(s: SpectralInfo, which: str, noise: NoiseSource) -> np.ndarray:
@@ -120,11 +120,12 @@ def initial_kick(x0: np.ndarray, v: np.ndarray, alpha: float,
 def white_noise_id_step(p: Potential, x: np.ndarray, h: float, sigma: float,
                         noise: NoiseSource) -> np.ndarray:
     """One Euler-Maruyama step x - h grad g + sqrt(h) sigma W of the
-    white-noise intermittent-diffusion baseline."""
+    white-noise intermittent-diffusion baseline.  A non-finite gradient
+    raises EvaluationError."""
     if h <= 0:
         raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=float)
-    return x - h * np.asarray(p.gradient(x), dtype=float) + math.sqrt(h) * sigma * noise.normal(x.size)
+    at = Point(p, np.asarray(x, dtype=float))
+    return at.x - h * at.grad + math.sqrt(h) * sigma * noise.normal(at.x.size)
 
 
 def _newton_predictor(at: Point):
@@ -144,20 +145,19 @@ def _descent_predictor(at: Point):
 
 def _predictor_attempt(p: Potential, x: np.ndarray, direction: np.ndarray,
                        g_bound: float | None, aux_bound: float | None):
-    """Attempt at x - h direction for the damped line search, accepted when
+    """The damped line search's attempt at x - h direction: the candidate if
     it lowers g below ``g_bound`` and G below ``aux_bound`` (a None bound is
-    not evaluated).  Returns the candidate and its G, if evaluated.  A
-    candidate equal to x bit for bit raises StepUnderflowError at once:
-    every smaller h rounds to x as well, and x passes neither strict test."""
+    not evaluated).  A candidate equal to x bit for bit raises StepUnderflowError
+    at once: every smaller h rounds to x too, and x passes neither strict test."""
     def attempt(h):
         cand = Point(p, x - h * direction)
         if cand.x.tobytes() == x.tobytes():
             raise StepUnderflowError("predictor step rounds to the current point")
         if g_bound is not None and not cand.value < g_bound:
             return None
-        if aux_bound is None:
-            return cand.x, None
-        return (cand.x, cand.aux) if cand.aux < aux_bound else None
+        if aux_bound is not None and not cand.aux < aux_bound:
+            return None
+        return cand.x
     return attempt
 
 
@@ -169,7 +169,7 @@ def _escape(p: Potential, x0: Point | np.ndarray, cfg: DiffusionConfig,
     direction, until the inertia changes or the diffusive budget runs out."""
     start = evaluate(p, x0)
     s = start.spectral
-    if (s.n_minus == 0 and s.n_zero == 0) != from_minimum:
+    if (kind_from_inertia(s.inertia) == KIND_MINIMUM) != from_minimum:
         raise InertiaMismatchError(
             f"escape_minimum needs a strict minimum, got inertia {s.inertia}" if from_minimum
             else f"escape_saddle cannot start from a strict minimum, inertia {s.inertia}")
@@ -177,31 +177,29 @@ def _escape(p: Potential, x0: Point | np.ndarray, cfg: DiffusionConfig,
     predictor = _newton_predictor if from_minimum else _descent_predictor
     x = initial_kick(start.x, _extremal_direction(s, which, noise), cfg.alpha, noise)
     trajectory: list[TrajectoryStep] = []
-    extra = {}
+    found = (None, None)   # (h, x_hat) of the predictor that led to x
 
     while True:
         at = evaluate(p, x)
         s = at.spectral
-        steps = len(trajectory) + 1
-        trajectory.append(TrajectoryStep(steps, at.x, at.value, at.aux, s.inertia, **extra))
+        trajectory.append(TrajectoryStep(at.x, at.value, at.aux, s.inertia, *found))
         # From a minimum, stop at the first negative eigenvalue; from a
         # saddle, once none is left.
         if (s.n_minus != 0 if from_minimum else s.n_minus == 0):
-            return EscapeResult(at, steps, ESCAPED, trajectory)
-        if steps >= cfg.max_diffusive_steps:
-            return EscapeResult(at, steps, BUDGET_EXHAUSTED, trajectory)
+            return EscapeResult(at, ESCAPED, trajectory)
+        if len(trajectory) >= cfg.max_diffusive_steps:
+            return EscapeResult(at, BUDGET_EXHAUSTED, trajectory)
 
         if at.aux == 0.0:
             # An exact critical point has no predictor: only noise can move it.
             x = initial_kick(at.x, _extremal_direction(s, which, noise), cfg.alpha, noise)
-            extra = {}
+            found = (None, None)
         else:
             found = _damped_step(StepController(), _predictor_attempt(p, at.x, *predictor(at)))
             if found is None:
                 raise StepUnderflowError("deterministic predictor line search underflowed")
-            h, (x_hat, aux_hat) = found
+            h, x_hat = found
             x = x_hat + cfg.alpha * math.sqrt(h) * colored_noise(s, which, noise)
-            extra = dict(predictor=x_hat, step_size=h, predictor_aux=aux_hat)
 
 
 def escape_minimum(p: Potential, x_min: Point | np.ndarray, cfg: DiffusionConfig,

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -24,16 +23,14 @@ from .local_search import (
     Point,
     StepUnderflowError,
     Tolerances,
+    _norm,
     evaluate,
     minimize,
     saddle_search,
 )
 from .potentials import EvaluationError, Potential
-
-KIND_MINIMUM = "minimum"
-KIND_SADDLE = "saddle"
-KIND_MAXIMUM = "maximum"
-KIND_DEGENERATE = "degenerate"
+# The kinds and their rule are read from this module too.
+from .spectral import KIND_DEGENERATE, KIND_MAXIMUM, KIND_MINIMUM, KIND_SADDLE, kind_from_inertia
 
 _SANE_GRADIENT = 1e8    # bound on a start draw's gradient norm
 _MAX_DRAW_TRIES = 200
@@ -43,26 +40,19 @@ class NotCriticalError(ValueError):
     """The point's gradient is too large to record as a critical point."""
 
 
-def kind_from_inertia(inertia: tuple[int, int, int]) -> str:
-    n_plus, n_zero, n_minus = inertia
-    if n_zero > 0:
-        return KIND_DEGENERATE
-    if n_minus == 0:
-        return KIND_MINIMUM
-    if n_plus == 0:
-        return KIND_MAXIMUM
-    return KIND_SADDLE
-
-
 @dataclass
 class CriticalPoint:
-    location: np.ndarray
-    value: float
-    gradient_norm: float
-    inertia: tuple[int, int, int]
-    kind: str
-    point: Point | None = field(repr=False, compare=False)   # its evaluations; not reported
+    """A table entry: a classified Point and how often it was found.  Its
+    location, g, ||grad g||, inertia and kind are the Point's."""
+
+    point: Point
     occurrences: int = 1
+
+    location = property(lambda self: self.point.x)
+    value = property(lambda self: self.point.value)
+    gradient_norm = property(lambda self: self.point.grad_norm)
+    inertia = property(lambda self: self.point.spectral.inertia)
+    kind = property(lambda self: kind_from_inertia(self.inertia))
 
     def as_dict(self) -> dict:
         return {
@@ -83,11 +73,10 @@ def classify(p: Potential, x: Point | np.ndarray, grad_tol: float = 1e-5) -> Cri
     A non-finite value or gradient raises EvaluationError.
     """
     at = evaluate(p, x)
-    grad_norm = float(np.linalg.norm(at.grad))
-    if grad_norm > grad_tol:
-        raise NotCriticalError(f"gradient norm {grad_norm:.3e} above {grad_tol:.3e}")
-    s = at.spectral
-    return CriticalPoint(at.x, at.value, grad_norm, s.inertia, kind_from_inertia(s.inertia), at)
+    if at.grad_norm > grad_tol:
+        raise NotCriticalError(f"gradient norm {at.grad_norm:.3e} above {grad_tol:.3e}")
+    at.spectral   # decomposed here, or raise here
+    return CriticalPoint(at)
 
 
 @dataclass
@@ -105,17 +94,14 @@ class CriticalPointTable:
         """Append ``cp``, or merge it into the first entry within the dedup
         radius; returns the entry that holds it."""
         for existing in self.entries:
-            d = existing.location - cp.location
-            if math.sqrt(d.dot(d)) < self.dedup_radius:
+            if _norm(existing.location - cp.location) < self.dedup_radius:
                 break
         else:
             self.entries.append(cp)
             return cp
         existing.occurrences += cp.occurrences
         if cp.gradient_norm < existing.gradient_norm:
-            # Keep the sharper representative, with its evaluations.
-            for name in ("location", "value", "gradient_norm", "inertia", "kind", "point"):
-                setattr(existing, name, getattr(cp, name))
+            existing.point = cp.point   # keep the sharper representative
         return existing
 
     def minima(self) -> list[CriticalPoint]:
@@ -135,8 +121,7 @@ def select_escape_target(table: CriticalPointTable, noise: NoiseSource) -> Criti
 def default_dedup_radius(search_region: np.ndarray) -> float:
     """Distance within which two points are one table entry: 1e-4 times the
     region's diameter."""
-    region = np.asarray(search_region, dtype=float)
-    return 1e-4 * float(np.linalg.norm(region[:, 1] - region[:, 0]))
+    return 1e-4 * float(np.linalg.norm(search_region[:, 1] - search_region[:, 0]))
 
 
 @dataclass
@@ -151,6 +136,8 @@ class ExplorationConfig:
         if not (isinstance(self.max_critical_points, Integral) and self.max_critical_points >= 1
                 and isinstance(self.max_restarts, Integral) and self.max_restarts >= 0):
             raise ValueError("need integers max_critical_points >= 1 and max_restarts >= 0")
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise ValueError("seed must be an integer >= 0")
 
 
 @dataclass
@@ -191,10 +178,9 @@ class RunReport:
         return float(np.mean(counts)) if counts else 0.0
 
     def summary(self) -> dict:
-        recorded = sum(1 for a in self.attempts if a.outcome == "recorded")
         return {
             "attempts": len(self.attempts),
-            "recorded": recorded,
+            "recorded": sum(1 for a in self.attempts if a.outcome == "recorded"),
             "distinct_points": len(self.table),
             "distinct_minima": len(self.table.minima()),
             "best_value": self.table.best_value() if self.table.entries else None,
@@ -244,7 +230,7 @@ def draw_start(p: Potential, noise: NoiseSource) -> Point:
             start = evaluate(p, noise.uniform_box(p.search_region))
         except EvaluationError:
             continue
-        if np.linalg.norm(start.grad) <= _SANE_GRADIENT:
+        if start.grad_norm <= _SANE_GRADIENT:
             return start
     raise EvaluationError(f"no start with finite g and a sane gradient in {_MAX_DRAW_TRIES} draws")
 

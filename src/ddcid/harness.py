@@ -10,8 +10,6 @@ import time
 from dataclasses import dataclass, field
 from numbers import Integral
 
-import numpy as np
-
 from .diffusion import NoiseSource, TrajectoryStep, white_noise_id_step
 from .explorer import (
     CriticalPoint,
@@ -77,8 +75,7 @@ class AnnealConfig:
 
 @dataclass
 class AnnealResult:
-    point: np.ndarray
-    value: float
+    point: Point                  # the best point visited, with its g
     accepted_moves: int
 
 
@@ -94,24 +91,23 @@ def simulated_annealing(p: Potential, cfg: AnnealConfig,
                         noise: NoiseSource) -> AnnealResult:
     """Metropolis random walk with a cooling schedule; returns the best
     point ever visited.  Proposals with no finite g are skipped."""
-    x = noise.uniform_box(p.search_region)
-    g = Point(p, x).value
-    best_x, best_g = x.copy(), g
+    at = best = Point(p, noise.uniform_box(p.search_region))
+    at.value   # raises EvaluationError when the start has no finite g
     accepted = 0
     budget = cfg.iteration_budget
     for k in range(budget):
-        proposal = x + cfg.neighbor_scale * noise.normal(p.dimension)
+        proposal = Point(p, at.x + cfg.neighbor_scale * noise.normal(p.dimension))
         try:
-            g_new = Point(p, proposal).value
+            proposal.value
         except EvaluationError:
             continue
         t = cfg.temperature(k / budget)
-        if metropolis_probability(g, g_new, t) > noise.uniform(0.0, 1.0):
-            x, g = proposal, g_new
+        if metropolis_probability(at.value, proposal.value, t) > noise.uniform(0.0, 1.0):
+            at = proposal
             accepted += 1
-            if g < best_g:
-                best_x, best_g = x.copy(), g
-    return AnnealResult(best_x, best_g, accepted)
+            if at.value < best.value:
+                best = at
+    return AnnealResult(best, accepted)
 
 
 def _record_descents(p: Potential, descents: int, tol: Tolerances, noise: NoiseSource,
@@ -166,18 +162,15 @@ class BenchmarkReport:
 
     def aggregate(self) -> dict:
         best_values = [r["best_value"] for r in self.reps if r["best_value"] is not None]
-        best = min(best_values, default=None)
         out = {
-            "best_value": best,
+            "best_value": min(best_values, default=None),
             "distinct_points": len(self.table),
             "distinct_minima": len(self.table.minima()),
         }
         if self.spec.target_value is not None:
             out["target_value"] = self.spec.target_value
             out["global_hits"] = sum(
-                1 for r in self.reps
-                if r["best_value"] is not None
-                and abs(r["best_value"] - self.spec.target_value) <= self.spec.target_tol)
+                1 for v in best_values if abs(v - self.spec.target_value) <= self.spec.target_tol)
         return out
 
     def canonical_dict(self, include_timing: bool = True) -> dict:
@@ -216,7 +209,7 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkReport:
         elif spec.method == "sim_anneal":
             result = simulated_annealing(p, spec.anneal or AnnealConfig(), NoiseSource(seed))
             entries = [classify(p, result.point, grad_tol=math.inf)]
-            fields = {"best_value": result.value, "accepted_moves": result.accepted_moves}
+            fields = {"best_value": result.point.value, "accepted_moves": result.accepted_moves}
         else:   # the descent baselines
             noise, tol = NoiseSource(seed), spec.config.tolerances
             entries = (monte_carlo_descent(p, spec.mc_starts, tol, noise)
@@ -241,12 +234,9 @@ CSV_FIXED_COLUMNS = ["g", "grad_norm", "n_plus", "n_zero", "n_minus", "kind", "o
 
 def table_csv_rows(entries: list[CriticalPoint], dimension: int) -> tuple[list[str], list[list]]:
     header = [f"x{i}" for i in range(1, dimension + 1)] + CSV_FIXED_COLUMNS
-    rows = []
-    for e in entries:
-        rows.append([repr(float(v)) for v in e.location]
-                    + [repr(float(e.value)), repr(float(e.gradient_norm)),
-                       *e.inertia, e.kind, e.occurrences])
-    return header, rows
+    return header, [[repr(float(v)) for v in e.location]
+                    + [repr(float(e.value)), repr(float(e.gradient_norm)), *e.inertia, e.kind,
+                       e.occurrences] for e in entries]
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -262,9 +252,9 @@ def write_trajectory_csv(trajectory: list[TrajectoryStep], path: str) -> None:
         raise ValueError("empty trajectory")
     n = trajectory[0].point.size
     header = ["step"] + [f"x{i}" for i in range(1, n + 1)] + ["g", "G", "n_plus", "n_zero", "n_minus"]
-    _write_csv(path, header, [[t.index] + [repr(float(v)) for v in t.point]
+    _write_csv(path, header, [[step] + [repr(float(v)) for v in t.point]
                               + [repr(float(t.value)), repr(float(t.aux_value)), *t.inertia]
-                              for t in trajectory])
+                              for step, t in enumerate(trajectory, 1)])
 
 
 def emit_report(report: BenchmarkReport | RunReport, fmt: str, path: str) -> str:

@@ -52,16 +52,12 @@ def alignment_threshold(n: int) -> float:
     return math.sqrt(n) / 10.0
 
 
-@dataclass
 class StepController:
     """Doubling/halving step-length state machine bounded to
-    [MIN_STEP, MAX_STEP] = [2^-26, 2^5]."""
+    [MIN_STEP, MAX_STEP] = [2^-26, 2^5], starting at h = 1."""
 
-    current_step: float = 1.0
-
-    def __post_init__(self):
-        if not (MIN_STEP <= self.current_step <= MAX_STEP):
-            raise ValueError("initial step outside [MIN_STEP, MAX_STEP]")
+    def __init__(self):
+        self.current_step = 1.0
 
     def accept(self) -> float:
         self.current_step = min(2.0 * self.current_step, MAX_STEP)
@@ -111,10 +107,10 @@ class _lazy:
 
 @dataclass(eq=False)
 class Point:
-    """A point x of the potential p whose g, grad g, G = |grad g|^2 / 2,
-    Hessian and eigendecomposition are each evaluated once, on first use, and
-    shared by every stage the point passes.  A non-finite g or grad g raises
-    EvaluationError: the one finiteness rule."""
+    """A point x of the potential p whose g, grad g, |grad g|, G =
+    |grad g|^2 / 2, Hessian and eigendecomposition are each evaluated once,
+    on first use, and shared by every stage the point passes.  A non-finite g
+    or grad g raises EvaluationError: the one finiteness rule."""
 
     p: Potential = field(repr=False)
     x: np.ndarray
@@ -132,6 +128,10 @@ class Point:
         if not np.isfinite(grad).all():
             raise EvaluationError("non-finite gradient")
         return grad
+
+    @_lazy
+    def grad_norm(self) -> float:
+        return _norm(self.grad)
 
     @_lazy
     def aux(self) -> float:
@@ -163,7 +163,6 @@ class StepInfo:
     direction: str
     step_size: float
     point: np.ndarray
-    previous_point: np.ndarray
     step_vector: np.ndarray       # raw direction v; the move is step_size * v
     value: float
     aux_value: float
@@ -172,10 +171,11 @@ class StepInfo:
 @dataclass
 class LocalSearchResult:
     final: Point                  # where the search stopped, with its evaluations
-    iterations: int
     outcome: str
     history: list[StepInfo] = field(default_factory=list)
     grad_tol: float = math.nan    # the stop threshold on ||grad g||, also the record gate
+
+    iterations = property(lambda self: len(self.history))
 
 
 def _norm(v: np.ndarray) -> float:
@@ -183,16 +183,16 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def stopping_criterion(grad: np.ndarray, x: np.ndarray, x_prev: np.ndarray | None,
+def stopping_criterion(grad_norm: float, x: np.ndarray, x_prev: np.ndarray | None,
                        grad_tol: float, step_tol: float) -> bool:
     """True when iteration should stop: the one stop rule of every search.
 
-    Iteration continues as long as both ||grad|| >= grad_tol and
-    ||x - x_prev|| >= step_tol hold; equality continues.  ``x_prev=None``
-    skips the displacement test.  The searches take both thresholds from
-    ``Tolerances.threshold``: of ||grad g(x0)|| and of ||x0||.
+    Iteration continues as long as both ``grad_norm`` = ||grad g(x)|| >=
+    grad_tol and ||x - x_prev|| >= step_tol hold; equality continues.
+    ``x_prev=None`` skips the displacement test.  The searches take both
+    thresholds from ``Tolerances.threshold``: of ||grad g(x0)|| and of ||x0||.
     """
-    return _norm(grad) < grad_tol or (x_prev is not None and _norm(x - x_prev) < step_tol)
+    return grad_norm < grad_tol or (x_prev is not None and _norm(x - x_prev) < step_tol)
 
 
 def double_descent_direction(grad: np.ndarray, s: SpectralInfo) -> np.ndarray:
@@ -257,13 +257,13 @@ def _search(p: Potential, x0: Point | np.ndarray, tol: Tolerances | None,
     tol = tol if tol is not None else Tolerances()
     ctrl = StepController()
     at = evaluate(p, x0)
-    grad_tol, step_tol = tol.threshold(_norm(at.grad)), tol.threshold(_norm(at.x))
+    grad_tol, step_tol = tol.threshold(at.grad_norm), tol.threshold(_norm(at.x))
     history: list[StepInfo] = []
 
     def result(outcome: str) -> LocalSearchResult:
-        return LocalSearchResult(at, len(history), outcome, history, grad_tol)
+        return LocalSearchResult(at, outcome, history, grad_tol)
 
-    if stopping_criterion(at.grad, at.x, None, grad_tol, step_tol):
+    if stopping_criterion(at.grad_norm, at.x, None, grad_tol, step_tol):
         return result(CONVERGED)
     for _ in range(tol.max_iterations):
         attempt = next_attempt(at)
@@ -273,8 +273,8 @@ def _search(p: Potential, x0: Point | np.ndarray, tol: Tolerances | None,
         h, (direction_name, v, new) = found
         prev, at = at.x, new
         ctrl.accept()
-        history.append(StepInfo(direction_name, h, new.x, prev, v, new.value, new.aux))
-        if stopping_criterion(at.grad, at.x, prev, grad_tol, step_tol):
+        history.append(StepInfo(direction_name, h, new.x, v, new.value, new.aux))
+        if stopping_criterion(at.grad_norm, at.x, prev, grad_tol, step_tol):
             return result(CONVERGED)
     return result(BUDGET_EXHAUSTED)
 
@@ -295,7 +295,6 @@ def minimize(p: Potential, x0: Point | np.ndarray,
     fallback = 0   # accepted gradient steps still owed before double descent
 
     def next_attempt(at):
-        grad_norm = _norm(at.grad)
         tries = []
         if fallback == 0:
             try:
@@ -304,7 +303,7 @@ def minimize(p: Potential, x0: Point | np.ndarray,
             except (NoPositiveSubspaceError, MisalignedGradientError, EvaluationError):
                 pass
         # Then unit gradient steps, whose slope |v . grad| is ||grad||.
-        tries, gradient = iter(tries), (DIRECTION_GRADIENT, -at.grad / grad_norm, grad_norm)
+        tries, gradient = iter(tries), (DIRECTION_GRADIENT, -at.grad / at.grad_norm, at.grad_norm)
 
         def attempt(h):
             nonlocal fallback
@@ -344,8 +343,7 @@ def gradient_descent(p: Potential, x0: Point | np.ndarray,
     local engine of the Monte-Carlo baseline."""
 
     def next_attempt(at):
-        grad_norm = _norm(at.grad)
-        v = -at.grad / grad_norm
-        return lambda h: _try_step(at, DIRECTION_GRADIENT, h, v, grad_norm)
+        v = -at.grad / at.grad_norm
+        return lambda h: _try_step(at, DIRECTION_GRADIENT, h, v, at.grad_norm)
 
     return _search(p, x0, tol, next_attempt)

@@ -1,5 +1,5 @@
-"""Hessian spectral machinery: ordered eigendecompositions, inertia,
-positive-part pseudoinverses and pivoted-QR Newton solves."""
+"""Hessian spectral machinery: ordered eigendecompositions, inertia and the
+kind it gives, positive-part pseudoinverses and pivoted-QR Newton solves."""
 
 from __future__ import annotations
 
@@ -12,6 +12,11 @@ import scipy.linalg
 from scipy.linalg.lapack import dgeqp3, dorgqr, dtrtrs
 
 from .potentials import EvaluationError
+
+KIND_MINIMUM = "minimum"
+KIND_SADDLE = "saddle"
+KIND_MAXIMUM = "maximum"
+KIND_DEGENERATE = "degenerate"
 
 _EPS = float(np.finfo(float).eps)
 _SQRT_EPS = math.sqrt(_EPS)
@@ -59,6 +64,16 @@ class SpectralInfo:
     @property
     def positive_eigenvalues(self) -> np.ndarray:
         return self.eigenvalues[: self.n_plus]
+
+
+def kind_from_inertia(inertia: tuple[int, int, int]) -> str:
+    """The one rule that names a critical point's kind from its inertia."""
+    n_plus, n_zero, n_minus = inertia
+    if n_zero > 0:
+        return KIND_DEGENERATE
+    if n_minus == 0:
+        return KIND_MINIMUM
+    return KIND_SADDLE if n_plus > 0 else KIND_MAXIMUM
 
 
 def _require_symmetric(H: np.ndarray) -> np.ndarray:

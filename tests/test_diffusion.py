@@ -19,6 +19,7 @@ from ddcid.diffusion import (
 )
 from ddcid.local_search import (
     CONVERGED,
+    Point,
     StepController,
     StepUnderflowError,
     _damped_step,
@@ -183,6 +184,13 @@ def test_white_noise_step_covariance():
     assert abs(cov[0, 1]) < 0.05 * target
 
 
+def test_white_noise_step_rejects_a_non_finite_gradient():
+    p = Potential(2, lambda x: 0.0, lambda x: np.array([math.nan, 0.0]),
+                  lambda x: np.zeros((2, 2)), np.array([[-1.0, 1.0], [-1.0, 1.0]]), name="nan")
+    with pytest.raises(EvaluationError):
+        white_noise_id_step(p, np.zeros(2), 0.01, 1.0, NoiseSource(0))
+
+
 def test_white_noise_step_requires_positive_h():
     with pytest.raises(ValueError):
         white_noise_id_step(make_molei(), np.zeros(2), 0.0, 1.0, NoiseSource(0))
@@ -262,8 +270,8 @@ def test_escape_minimum_predictor_decreases_aux():
     for seed in range(10):
         esc = escape_minimum(p, np.array([-1.0, 0.0]), DiffusionConfig(), NoiseSource(seed))
         for prev, step in zip(esc.trajectory, esc.trajectory[1:]):
-            if step.predictor_aux is not None:
-                assert step.predictor_aux < prev.aux_value
+            if step.predictor is not None:
+                assert Point(p, step.predictor).aux < prev.aux_value
 
 
 def test_escape_minimum_noise_is_rank_one():
@@ -285,29 +293,35 @@ def test_escape_trajectory_records_each_step_once_with_its_inertia():
         for escape, x0 in ((escape_minimum, [1.0, 0.0]), (escape_saddle, [0.0, 1.0])):
             esc = escape(p, np.array(x0), DiffusionConfig(), NoiseSource(seed))
             assert esc.steps == len(esc.trajectory)
-            assert [t.index for t in esc.trajectory] == list(range(1, esc.steps + 1))
             assert np.array_equal(esc.trajectory[-1].point, esc.final.x)
             for step in esc.trajectory:
                 assert step.inertia == eigendecompose(p.hessian(step.point)).inertia
-            if escape is escape_minimum:
-                # The Newton predictor's line search always evaluates G.
-                assert all(t.predictor_aux is not None
-                           for t in esc.trajectory if t.predictor is not None)
+                assert (step.predictor is None) == (step.step_size is None)
+            # The first step follows the kick, which has no predictor.
+            assert esc.trajectory[0].predictor is None
 
 
 def test_escape_saddle_gradient_step_predictor_has_no_aux():
     # g = (x^2 - y^2) / 2.  The kick from the saddle is along y, where the
     # gradient has no positive-subspace part, so every predictor is a plain
     # gradient step: its line search tests g only and evaluates no gradient.
-    p = Potential(2, lambda x: 0.5 * (x[0] ** 2 - x[1] ** 2), lambda x: np.array([x[0], -x[1]]),
+    gradients = []
+
+    def gradient(x):
+        gradients.append(x.copy())
+        return np.array([x[0], -x[1]])
+
+    p = Potential(2, lambda x: 0.5 * (x[0] ** 2 - x[1] ** 2), gradient,
                   lambda x: np.diag([1.0, -1.0]), np.array([[-1.0, 1.0], [-1.0, 1.0]]),
                   name="saddle2d")
     esc = escape_saddle(p, np.zeros(2), DiffusionConfig(max_diffusive_steps=5), NoiseSource(0))
     assert esc.outcome == BUDGET_EXHAUSTED and esc.steps == 5
+    # The gradient was evaluated at the start and at each iterate, never at
+    # a predictor candidate.
+    assert np.array_equal(gradients, [np.zeros(2)] + [t.point for t in esc.trajectory])
     for prev, step in zip(esc.trajectory, esc.trajectory[1:]):
         assert np.array_equal(step.predictor,
                               prev.point - step.step_size * p.gradient(prev.point))
-        assert step.predictor_aux is None
 
 
 def test_escape_trajectories_reproducible():

@@ -16,7 +16,6 @@ from ddcid.explorer import (
     KIND_MAXIMUM,
     KIND_MINIMUM,
     KIND_SADDLE,
-    CriticalPoint,
     CriticalPointTable,
     ExplorationConfig,
     NotCriticalError,
@@ -61,10 +60,20 @@ def found(table, target, tol=1e-4):
     return any(np.linalg.norm(e.location - target) < tol for e in table.entries)
 
 
-def make_cp(x, kind=KIND_MINIMUM, value=0.0):
-    inertia = {KIND_MINIMUM: (2, 0, 0), KIND_SADDLE: (1, 0, 1),
-               KIND_MAXIMUM: (0, 0, 2), KIND_DEGENERATE: (1, 1, 0)}[kind]
-    return CriticalPoint(np.asarray(x, dtype=float), value, 1e-10, inertia, kind, None)
+def make_cp(x, kind=KIND_MINIMUM, value=0.0, gradient_norm=1e-10):
+    """A table entry at x: the Point of a quadratic whose Hessian has the
+    inertia of ``kind`` and whose g and gradient norm at x are ``value`` and
+    ``gradient_norm``."""
+    x = np.asarray(x, dtype=float)
+    d = np.array({KIND_MINIMUM: [1.0, 1.0], KIND_SADDLE: [1.0, -1.0],
+                  KIND_MAXIMUM: [-1.0, -1.0], KIND_DEGENERATE: [1.0, 0.0]}[kind])
+    slope = np.array([gradient_norm, 0.0])
+    p = Potential(2, lambda y: value + slope @ (y - x) + 0.5 * (y - x) @ (d * (y - x)),
+                  lambda y: slope + d * (y - x), lambda y: np.diag(d),
+                  np.array([[-5.0, 5.0], [-5.0, 5.0]]), name="quadratic")
+    cp = classify(p, x, grad_tol=math.inf)
+    assert (cp.value, cp.gradient_norm, cp.kind) == (value, gradient_norm, kind)
+    return cp
 
 
 # --- classification ------------------------------------------------------------
@@ -129,15 +138,15 @@ def test_record_separate_points():
 
 def test_record_keeps_sharper_representative():
     table = CriticalPointTable(dedup_radius=1e-2)
-    blunt = make_cp([1e-3, 0.0])
-    blunt.gradient_norm = 1e-6
-    table.record(blunt)
-    sharp = make_cp([0.0, 0.0])
-    sharp.gradient_norm = 1e-12
+    blunt = table.record(make_cp([1e-3, 0.0], gradient_norm=1e-6))
+    sharp = make_cp([0.0, 0.0], gradient_norm=1e-12)
     entry = table.record(sharp)
-    assert entry.occurrences == 2
+    assert entry is blunt and entry.occurrences == 2
+    assert entry.point is sharp.point
     assert entry.gradient_norm == 1e-12
     assert np.array_equal(entry.location, [0.0, 0.0])
+    # A blunter one merges its count and leaves the representative.
+    assert table.record(make_cp([1e-3, 0.0], gradient_norm=1e-6)).point is sharp.point
 
 
 def test_record_moves_the_evaluations_with_the_sharper_representative():
@@ -368,7 +377,7 @@ def test_explorer_records_by_the_threshold_its_search_stopped_on(monkeypatch, ab
     grad_tol = np.nextafter(grad_norm, 0.0) if above else grad_norm
 
     def search(p, start, tol):
-        return LocalSearchResult(end, 0, CONVERGED, grad_tol=grad_tol)
+        return LocalSearchResult(end, CONVERGED, grad_tol=grad_tol)
 
     monkeypatch.setattr("ddcid.explorer.minimize", search)
     rep = explore(p, ExplorationConfig(max_critical_points=1, max_restarts=0))
@@ -443,3 +452,17 @@ def test_config_rejects_non_integer_counts(config, field_name):
         with pytest.raises(ValueError):
             config(**{field_name: bad})
     assert getattr(config(**{field_name: np.int64(3)}), field_name) == 3
+
+
+@pytest.mark.parametrize("seed", [1.5, 3.0, True, False, "3", -1, np.int64(-1)])
+def test_config_rejects_a_seed_that_is_not_an_integer_at_least_0(seed):
+    # The noise stream takes int(seed), so 1.5 would run as seed 1 while the
+    # report's config says 1.5; -1 would fail only inside numpy, at run time.
+    with pytest.raises(ValueError):
+        ExplorationConfig(seed=seed)
+
+
+def test_config_accepts_integer_seeds_and_echoes_them():
+    for seed in (0, 7, np.int64(3)):
+        rep = explore(make_molei(), ExplorationConfig(max_critical_points=1, seed=seed))
+        assert json.loads(rep.to_json(include_timing=False))["config"]["seed"] == seed

@@ -28,7 +28,13 @@ from ddcid.harness import (
     white_noise_intermittent_descent,
     write_trajectory_csv,
 )
-from ddcid.local_search import STEP_UNDERFLOW, LocalSearchResult, Tolerances, evaluate
+from ddcid.local_search import (
+    STEP_UNDERFLOW,
+    LocalSearchResult,
+    Tolerances,
+    evaluate,
+    gradient_descent,
+)
 from ddcid.potentials import EvaluationError, Potential, get_potential, make_molei, make_shubert
 
 CSV_HEADER_2D = ["x1", "x2", "g", "grad_norm", "n_plus", "n_zero", "n_minus",
@@ -79,7 +85,7 @@ def test_annealing_finds_molei_minimum():
     hits = 0
     for seed in range(5):
         result = simulated_annealing(p, cfg, NoiseSource(seed))
-        hits += result.value < 1e-2
+        hits += result.point.value < 1e-2
     assert hits >= 3
 
 
@@ -91,7 +97,7 @@ def test_annealing_skips_proposals_whose_value_is_not_finite():
     p = Potential(2, lambda x: -math.inf if x[0] > 0.5 else quad.value(x), quad.gradient,
                   quad.hessian, np.array([[-4.0, 0.5], [-4.0, 4.0]]), name="cliff")
     result = simulated_annealing(p, AnnealConfig(iteration_budget=500), NoiseSource(0))
-    assert math.isfinite(result.value) and result.point[0] <= 0.5
+    assert math.isfinite(result.point.value) and result.point.x[0] <= 0.5
     assert result.accepted_moves > 0
 
 
@@ -126,6 +132,25 @@ def test_mc_descent_shubert_finds_several_minima():
                                     NoiseSource(seed))
         hits += len([e for e in found if e.kind == KIND_MINIMUM]) >= 5
     assert hits >= 3
+
+
+def test_white_noise_cycle_after_a_non_finite_gradient_starts_from_a_uniform_draw(monkeypatch):
+    # g = x^2 whose gradient is NaN for |x| > 0.2; the box is [-0.1, 0.1].
+    # A burst that reaches the NaN region must not hand a NaN point to the
+    # next descent: it raises, and the next cycle draws a fresh start.
+    p = Potential(1, lambda x: x[0] ** 2,
+                  lambda x: np.array([2.0 * x[0] if abs(x[0]) <= 0.2 else math.nan]),
+                  lambda x: np.array([[2.0]]), np.array([[-0.1, 0.1]]), name="nan-outside")
+    starts = []
+
+    def descent(p, x0, tol=None):
+        starts.append(float(np.asarray(x0)[0]))
+        return gradient_descent(p, x0, tol)
+
+    monkeypatch.setattr("ddcid.harness.gradient_descent", descent)
+    white_noise_intermittent_descent(p, 6, NoiseSource(1), Tolerances())
+    assert len(starts) == 6
+    assert all(math.isfinite(x) for x in starts), starts
 
 
 def test_white_noise_baseline_molei():
@@ -389,6 +414,31 @@ def test_cli_infinite_setting_exit_code(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--alpha", "-1e1"), ("--atol", "-inf"), ("--rtol", "-1E-3"), ("--target-tol", "-nan"),
+    ("--atol", "-Infinity"), ("--neighbor-scale", "-5e-1"),
+])
+def test_cli_negative_value_in_exponent_or_word_form_reaches_the_range_check(
+        tmp_path, capsys, option, value):
+    # argparse takes only "-1" and "-.5" forms for numbers: "--atol -inf"
+    # exited 2 with "expected one argument" instead of reaching the check.
+    out = tmp_path / "report.json"
+    assert main(["run", "--problem", "molei", "--budget", "2", "--out", str(out),
+                 option, value]) == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_negative_target_in_exponent_form_runs(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["run", "--problem", "molei", "--budget", "2", "--out", str(out),
+                 "--target", "-1e1", "--alpha", "2.5e-1"]) == 0
+    spec = json.loads(out.read_text())["spec"]
+    assert spec["target_value"] == -10.0 and spec["config"]["diffusion"]["alpha"] == 0.25
+    assert main(["run", "--problem", "molei", "--budget", "2", "--out", str(out),
+                 "--target=-1e1", "--seed", "-1"]) == 1
+
+
 @pytest.mark.parametrize("rho", ["nan", "inf"])
 def test_cli_non_finite_morse_width_exit_code(tmp_path, capsys, rho):
     out = tmp_path / "report.json"
@@ -427,7 +477,7 @@ def test_cli_trace_redraws_a_start_as_the_explorer_does(tmp_path, monkeypatch):
 
     def minimize(p, x0, tol=None):
         starts.append(evaluate(p, x0))
-        return LocalSearchResult(starts[-1], 0, STEP_UNDERFLOW)
+        return LocalSearchResult(starts[-1], STEP_UNDERFLOW)
 
     monkeypatch.setattr("ddcid.cli.minimize", minimize)
     assert main(["trace", "--problem", "lj:5", "--seed", "1",
