@@ -11,7 +11,6 @@ import numpy as np
 
 from .local_search import (
     BUDGET_EXHAUSTED,
-    MisalignedGradientError,
     Point,
     StepController,
     StepUnderflowError,
@@ -20,8 +19,7 @@ from .local_search import (
     evaluate,
 )
 from .potentials import Potential
-from .spectral import (KIND_MINIMUM, NoPositiveSubspaceError, SpectralInfo, kind_from_inertia,
-                       newton_solve)
+from .spectral import KIND_MINIMUM, SpectralInfo, kind_from_inertia, newton_solve
 
 ESCAPED = "escaped"
 # Relative gap below which extremal eigenvalues count as repeated.
@@ -32,12 +30,19 @@ class InertiaMismatchError(ValueError):
     """The point's Hessian inertia does not match the requested escape."""
 
 
+def require_seed(seed: int) -> int:
+    """The one seed rule: an integer >= 0 (numpy integers too, bools not)."""
+    if isinstance(seed, bool) or not (isinstance(seed, Integral) and seed >= 0):
+        raise ValueError("seed must be an integer >= 0")
+    return seed
+
+
 class NoiseSource:
     """Seeded stream of standard-normal draws; identical seeds reproduce
     identical sequences bit-for-bit."""
 
     def __init__(self, seed: int):
-        self._gen = np.random.default_rng(int(seed))
+        self._gen = np.random.default_rng(int(require_seed(seed)))
 
     def normal(self, n: int) -> np.ndarray:
         return self._gen.standard_normal(n)
@@ -137,10 +142,8 @@ def _descent_predictor(at: Point):
     """From a saddle: the double-descent step, which must decrease g and G,
     when the gradient has a meaningful positive-subspace component;
     otherwise a gradient step, which must decrease g."""
-    try:
-        return -double_descent_direction(at.grad, at.spectral), at.value, at.aux
-    except (NoPositiveSubspaceError, MisalignedGradientError):
-        return at.grad, at.value, None
+    v = double_descent_direction(at)
+    return (at.grad, at.value, None) if v is None else (-v, at.value, at.aux)
 
 
 def _predictor_attempt(p: Potential, x: np.ndarray, direction: np.ndarray,

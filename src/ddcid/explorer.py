@@ -17,6 +17,7 @@ from .diffusion import (
     NoiseSource,
     escape_minimum,
     escape_saddle,
+    require_seed,
 )
 from .local_search import (
     CONVERGED,
@@ -136,8 +137,7 @@ class ExplorationConfig:
         if not (isinstance(self.max_critical_points, Integral) and self.max_critical_points >= 1
                 and isinstance(self.max_restarts, Integral) and self.max_restarts >= 0):
             raise ValueError("need integers max_critical_points >= 1 and max_restarts >= 0")
-        if isinstance(self.seed, bool) or not (isinstance(self.seed, Integral) and self.seed >= 0):
-            raise ValueError("seed must be an integer >= 0")
+        require_seed(self.seed)
 
 
 @dataclass

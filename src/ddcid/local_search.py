@@ -11,14 +11,7 @@ from numbers import Integral
 import numpy as np
 
 from .potentials import EvaluationError, Potential
-from .spectral import (
-    NoPositiveSubspaceError,
-    SpectralInfo,
-    alignment_ratio,
-    eigendecompose,
-    newton_solve,
-    positive_part_pseudoinverse,
-)
+from .spectral import SpectralInfo, eigendecompose, newton_solve, positive_part_pseudoinverse
 
 # Armijo fraction for the "appreciable decrease" demanded from g.
 SUFFICIENT_DECREASE = 1e-4
@@ -41,15 +34,6 @@ DIRECTION_NEWTON = "newton"
 
 class StepUnderflowError(RuntimeError):
     """The step size would drop below its lower bound."""
-
-
-class MisalignedGradientError(ValueError):
-    """Gradient has no meaningful component in the positive eigenspace."""
-
-
-def alignment_threshold(n: int) -> float:
-    """Minimum positive-subspace gradient fraction for double descent."""
-    return math.sqrt(n) / 10.0
 
 
 class StepController:
@@ -195,20 +179,18 @@ def stopping_criterion(grad_norm: float, x: np.ndarray, x_prev: np.ndarray | Non
     return grad_norm < grad_tol or (x_prev is not None and _norm(x - x_prev) < step_tol)
 
 
-def double_descent_direction(grad: np.ndarray, s: SpectralInfo) -> np.ndarray:
-    """Direction -(H_plus)^dagger grad: simultaneous descent for g and G.
-
-    Requires at least one positive eigenvalue and a gradient fraction in the
-    positive eigenspace above sqrt(n)/10; otherwise raises so callers revert
-    to plain gradient descent.
-    """
-    grad = np.asarray(grad, dtype=float)
-    ratio = alignment_ratio(s, grad)   # raises ZeroGradientError on grad = 0
-    if s.n_plus == 0:
-        raise NoPositiveSubspaceError("no positive eigenvalues at this point")
-    if ratio <= alignment_threshold(grad.size):
-        raise MisalignedGradientError(
-            f"positive-subspace gradient fraction {ratio:.3g} below threshold")
+def double_descent_direction(at: Point) -> np.ndarray | None:
+    """The one double-descent rule: -(H_plus)^dagger grad g at ``at``, a
+    descent direction for both g and G; or None, and callers take gradient
+    steps, when grad g is zero or its fraction in the positive eigenspace,
+    ||V_plus^T grad g|| / ||grad g||, is at most sqrt(n)/10 (0 with no
+    positive eigenvalue).  A Hessian that cannot be evaluated raises."""
+    s, grad = at.spectral, at.grad
+    if at.grad_norm == 0.0:
+        return None
+    projected = s.eigenvectors[:, : s.n_plus].T @ grad
+    if _norm(projected) / at.grad_norm <= math.sqrt(grad.size) / 10.0:
+        return None
     return -positive_part_pseudoinverse(s) @ grad
 
 
@@ -295,15 +277,14 @@ def minimize(p: Potential, x0: Point | np.ndarray,
     fallback = 0   # accepted gradient steps still owed before double descent
 
     def next_attempt(at):
-        tries = []
-        if fallback == 0:
-            try:
-                v = double_descent_direction(at.grad, at.spectral)
-                tries = [(DIRECTION_DOUBLE_DESCENT, v, abs(float(v.dot(at.grad))))] * DAMPING_RETRY_BUDGET
-            except (NoPositiveSubspaceError, MisalignedGradientError, EvaluationError):
-                pass
+        try:
+            v = double_descent_direction(at) if fallback == 0 else None
+        except EvaluationError:   # the Hessian cannot be evaluated
+            v = None
+        tries = iter([(DIRECTION_DOUBLE_DESCENT, v, abs(float(v.dot(at.grad))))] * DAMPING_RETRY_BUDGET
+                     if v is not None else [])
         # Then unit gradient steps, whose slope |v . grad| is ||grad||.
-        tries, gradient = iter(tries), (DIRECTION_GRADIENT, -at.grad / at.grad_norm, at.grad_norm)
+        gradient = (DIRECTION_GRADIENT, -at.grad / at.grad_norm, at.grad_norm)
 
         def attempt(h):
             nonlocal fallback

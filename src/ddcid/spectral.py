@@ -26,19 +26,10 @@ class NotSymmetricError(ValueError):
     """Input matrix is not symmetric within tolerance."""
 
 
-class NoPositiveSubspaceError(ValueError):
-    """The matrix has no positive eigenvalues; callers should fall back to
-    gradient descent."""
-
-
-class ZeroGradientError(ValueError):
-    """Gradient is zero: the point is already critical."""
-
-
 @dataclass
 class SpectralInfo:
     """Eigendecomposition of a symmetric matrix with descending eigenvalues
-    and its inertia (n_plus, n_zero, n_minus)."""
+    and its inertia: the numbers of positive, zero and negative eigenvalues."""
 
     eigenvalues: np.ndarray          # descending: lam[0] >= ... >= lam[n-1]
     eigenvectors: np.ndarray         # orthonormal columns aligned with eigenvalues
@@ -49,21 +40,8 @@ class SpectralInfo:
         return self.inertia[0]
 
     @property
-    def n_zero(self) -> int:
-        return self.inertia[1]
-
-    @property
     def n_minus(self) -> int:
         return self.inertia[2]
-
-    @property
-    def positive_vectors(self) -> np.ndarray:
-        """Columns spanning the positive eigenspace (may be empty)."""
-        return self.eigenvectors[:, : self.n_plus]
-
-    @property
-    def positive_eigenvalues(self) -> np.ndarray:
-        return self.eigenvalues[: self.n_plus]
 
 
 def kind_from_inertia(inertia: tuple[int, int, int]) -> str:
@@ -124,13 +102,10 @@ def positive_part_pseudoinverse(s: SpectralInfo) -> np.ndarray:
     """Pseudoinverse of the positive part: V_plus diag(1/lam_plus) V_plus^T.
 
     This is the Moore-Penrose inverse of the closest positive semidefinite
-    matrix; raises NoPositiveSubspaceError when there are no positive
-    eigenvalues.
+    matrix, and the zero matrix when there are no positive eigenvalues.
     """
-    if s.n_plus == 0:
-        raise NoPositiveSubspaceError("matrix has no positive eigenvalues")
-    v_plus = s.positive_vectors
-    return (v_plus / s.positive_eigenvalues) @ v_plus.T
+    v_plus = s.eigenvectors[:, : s.n_plus]
+    return (v_plus / s.eigenvalues[: s.n_plus]) @ v_plus.T
 
 
 @cache
@@ -183,15 +158,3 @@ def newton_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     out[jpvt - 1] = z
     return out
 
-
-def alignment_ratio(s: SpectralInfo, grad: np.ndarray) -> float:
-    """Fraction of the gradient lying in the positive eigenspace:
-    ||V_plus^T grad|| / ||grad||, in [0, 1]."""
-    grad = np.asarray(grad, dtype=float)
-    norm = math.sqrt(grad.dot(grad))
-    if norm == 0.0:
-        raise ZeroGradientError("gradient is zero; the point is already critical")
-    if s.n_plus == 0:
-        return 0.0
-    projected = s.positive_vectors.T @ grad
-    return math.sqrt(projected.dot(projected)) / norm

@@ -66,6 +66,20 @@ def test_noise_reproducible_bitwise():
     assert not np.array_equal(NoiseSource(1).normal(7), NoiseSource(2).normal(7))
 
 
+@pytest.mark.parametrize("seed", [1.5, 3.0, True, False, "3", -1, np.int64(-1)])
+def test_noise_source_rejects_a_seed_that_is_not_an_integer_at_least_0(seed):
+    # Each would otherwise run under another seed than the one given (int()
+    # reads 1.5 and True as 1, '3' as 3) or fail inside numpy (-1).
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        NoiseSource(seed)
+
+
+def test_noise_source_takes_numpy_integer_seeds_as_ints():
+    for seed in (0, 3, np.int64(3), np.uint8(3)):
+        expected = np.random.default_rng(int(seed)).standard_normal(5)
+        assert np.array_equal(NoiseSource(seed).normal(5), expected)
+
+
 def test_noise_moments():
     draws = NoiseSource(7).normal(100000)
     n = draws.size

@@ -456,8 +456,8 @@ def test_config_rejects_non_integer_counts(config, field_name):
 
 @pytest.mark.parametrize("seed", [1.5, 3.0, True, False, "3", -1, np.int64(-1)])
 def test_config_rejects_a_seed_that_is_not_an_integer_at_least_0(seed):
-    # The noise stream takes int(seed), so 1.5 would run as seed 1 while the
-    # report's config says 1.5; -1 would fail only inside numpy, at run time.
+    # The config applies the noise stream's seed rule when it is made, so a
+    # bad seed fails before the run, not at its first draw.
     with pytest.raises(ValueError):
         ExplorationConfig(seed=seed)
 

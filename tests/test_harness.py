@@ -459,6 +459,13 @@ def test_cli_unwritable_output_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_trace_rejects_a_negative_seed_by_the_seed_rule(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    assert main(["trace", "--problem", "molei", "--seed", "-1", "--out", str(out)]) == 1
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_trace(tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["trace", "--problem", "molei", "--seed", "3", "--out", str(out)]) == 0

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,12 +11,10 @@ from ddcid.local_search import (
     DIRECTION_DOUBLE_DESCENT,
     DIRECTION_GRADIENT,
     STEP_UNDERFLOW,
-    MisalignedGradientError,
     Point,
     StepController,
     Tolerances,
     _damped_step,
-    alignment_threshold,
     double_descent_direction,
     evaluate,
     gradient_descent,
@@ -24,7 +23,9 @@ from ddcid.local_search import (
     stopping_criterion,
 )
 from ddcid.potentials import EvaluationError, Potential, make_boggs, make_camel, make_molei
-from ddcid.spectral import NoPositiveSubspaceError, eigendecompose
+from ddcid.spectral import eigendecompose
+
+from conftest import point_with
 
 CAMEL_MINIMA = [
     (0.0898, -0.7127), (-0.0898, 0.7127), (1.6071, 0.5687),
@@ -251,14 +252,13 @@ def test_dd_direction_positive_definite_equals_newton():
         h = q @ np.diag(rng.uniform(0.3, 5.0, n)) @ q.T
         h = 0.5 * (h + h.T)
         grad = rng.standard_normal(n)
-        v = double_descent_direction(grad, eigendecompose(h))
+        v = double_descent_direction(point_with(grad, h))
         newton = -np.linalg.solve(h, grad)
         assert np.linalg.norm(v - newton) <= 1e-8 * max(1.0, np.linalg.norm(newton))
 
 
 def test_dd_direction_diagonal_example():
-    s = eigendecompose(np.diag([2.0, -1.0]))
-    v = double_descent_direction(np.array([4.0, 3.0]), s)
+    v = double_descent_direction(point_with([4.0, 3.0], np.diag([2.0, -1.0])))
     assert np.allclose(v, [-2.0, 0.0], atol=1e-14)
 
 
@@ -268,11 +268,9 @@ def test_dd_direction_descends_both_potentials():
     while checked < 50:
         n = int(rng.integers(2, 10))
         h = random_spectrum_instance(rng, n)
-        s = eigendecompose(h)
         grad = rng.standard_normal(n)
-        try:
-            v = double_descent_direction(grad, s)
-        except (MisalignedGradientError, NoPositiveSubspaceError):
+        v = double_descent_direction(point_with(grad, h))
+        if v is None:
             continue
         assert v @ grad < 0.0
         assert v @ h @ grad < 0.0
@@ -280,16 +278,68 @@ def test_dd_direction_descends_both_potentials():
 
 
 def test_dd_direction_signals_fallbacks():
-    with pytest.raises(NoPositiveSubspaceError):
-        double_descent_direction(np.array([1.0, 1.0]), eigendecompose(-np.eye(2)))
-    s = eigendecompose(np.diag([2.0, -1.0]))
-    grad = s.eigenvectors[:, 1].copy()    # orthogonal to the positive subspace
-    with pytest.raises(MisalignedGradientError):
-        double_descent_direction(grad, s)
+    # No positive eigenvalue, a gradient orthogonal to the positive
+    # subspace, and a zero gradient.
+    assert double_descent_direction(point_with([1.0, 1.0], -np.eye(2))) is None
+    assert double_descent_direction(point_with([0.0, 1.0], np.diag([2.0, -1.0]))) is None
+    assert double_descent_direction(point_with([0.0, 0.0], np.eye(2))) is None
 
 
-def test_alignment_threshold_value():
-    assert alignment_threshold(4) == pytest.approx(0.2)
+def test_dd_direction_threshold_boundary():
+    # ||V_plus^T grad|| / ||grad|| = 1/5 is exactly sqrt(4)/10: no direction.
+    h = np.diag([1.0, -1.0, -1.0, -1.0])
+    assert double_descent_direction(point_with([1.0, 2.0, 4.0, 2.0], h)) is None
+    v = double_descent_direction(point_with([1.01, 2.0, 4.0, 2.0], h))
+    assert np.array_equal(v, [-1.01, 0.0, 0.0, 0.0])
+
+
+def _reference_dd_direction(grad, s):
+    """The double-descent rule as formulated before it read a Point: the
+    alignment ratio, the sqrt(n)/10 threshold and the positive-part
+    pseudoinverse.  None where that formulation raised."""
+    norm = math.sqrt(grad.dot(grad))
+    if norm == 0.0 or s.n_plus == 0:
+        return None
+    v_plus = s.eigenvectors[:, : s.n_plus]
+    projected = v_plus.T @ grad
+    if math.sqrt(projected.dot(projected)) / norm <= math.sqrt(grad.size) / 10.0:
+        return None
+    return -((v_plus / s.eigenvalues[: s.n_plus]) @ v_plus.T) @ grad
+
+
+def test_dd_direction_matches_the_reference_rule_bit_for_bit():
+    rng = np.random.default_rng(77)
+    cases = ("hyperbolic", "negative-definite", "positive-definite", "zero-gradient", "misaligned")
+    outcomes = Counter()
+    for i in range(2000):
+        n, case = int(rng.integers(1, 21)), cases[i % 5]
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = rng.uniform(0.1, 10.0, n) * rng.choice([-1.0, 1.0], n)
+        if case == "negative-definite":
+            lam = -np.abs(lam)
+        elif case == "positive-definite":
+            lam = np.abs(lam)
+        plus = lam > 0
+        grad = rng.standard_normal(n)
+        if case == "zero-gradient":
+            grad = np.zeros(n)
+        elif case == "misaligned" and 0 < plus.sum() < n:
+            # Unit parts in both eigenspaces, mixed so that the positive
+            # fraction lies within 5% of sqrt(n)/10, on either side.
+            u, w = (q[:, m] @ rng.standard_normal(m.sum()) for m in (plus, ~plus))
+            c = min(1.0, math.sqrt(n) / 10.0 * rng.uniform(0.95, 1.05))
+            grad = c * u / np.linalg.norm(u) + math.sqrt(1.0 - c * c) * w / np.linalg.norm(w)
+        h = (q * lam) @ q.T
+        at = point_with(grad * 10.0 ** rng.uniform(-150, 150),
+                        (h + h.T) * 10.0 ** rng.uniform(-150, 150))
+        v, ref = double_descent_direction(at), _reference_dd_direction(at.grad, at.spectral)
+        assert (v is None) == (ref is None)
+        assert v is None or v.tobytes() == ref.tobytes()
+        outcomes[case, v is not None] += 1
+    for case in ("hyperbolic", "misaligned"):
+        assert outcomes[case, True] >= 50 and outcomes[case, False] >= 50
+    assert outcomes["positive-definite", True] >= 50
+    assert outcomes["negative-definite", True] == outcomes["zero-gradient", True] == 0
 
 
 # --- minimize ----------------------------------------------------------------
@@ -400,8 +450,7 @@ def test_minimize_gradient_fallback_runs_five_steps():
     # step; five of them pass before double descent is tried again.
     p = make_camel()
     start = np.array([0.0, 0.05])
-    with pytest.raises(MisalignedGradientError):
-        double_descent_direction(p.gradient(start), eigendecompose(p.hessian(start)))
+    assert double_descent_direction(Point(p, start)) is None
     r = minimize(p, start)
     assert r.outcome == CONVERGED
     assert np.linalg.norm(r.final.x - (-0.0898, 0.7127)) < 1e-4
