@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .diffusion import DiffusionConfig, NoiseSource, escape_minimum
 from .explorer import ExplorationConfig, draw_start
@@ -54,60 +55,56 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list-problems", help="list registry problem keys")
 
-    run = sub.add_parser("run", help="run a benchmark")
+    # A settings option is parsed only when given, under its field's name.
+    run = sub.add_parser("run", help="run a benchmark", argument_default=argparse.SUPPRESS)
     run.add_argument("--problem", required=True, help="registry key, e.g. camel or lj:7")
-    run.add_argument("--budget", type=int, default=20, help="critical-point attempts per run")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--method", choices=METHODS, default="ddcid")
-    run.add_argument("--reps", type=int, default=1, help="independent repetitions")
+    run.add_argument("--budget", type=int, dest="max_critical_points", metavar="BUDGET",
+                     help="critical-point attempts per run")
+    run.add_argument("--seed", type=int)
+    run.add_argument("--method", choices=METHODS)
+    run.add_argument("--reps", type=int, dest="repetitions", metavar="REPS",
+                     help="independent repetitions")
     run.add_argument("--out", default=None, help="output path (DDCID_OUT_DIR applies)")
     run.add_argument("--format", choices=("json", "csv"), default="json")
-    run.add_argument("--alpha", type=float, default=1.0, help="diffusion kick amplitude")
-    run.add_argument("--max-diffusive", type=int, default=50)
-    run.add_argument("--atol", type=float, default=1e-8)
-    run.add_argument("--rtol", type=float, default=1e-8)
-    run.add_argument("--max-iterations", type=int, default=500)
-    run.add_argument("--max-restarts", type=int, default=5)
-    run.add_argument("--target", type=float, default=None, help="known global value")
-    run.add_argument("--target-tol", type=float, default=1e-3)
-    run.add_argument("--mc-starts", type=int, default=20)
-    run.add_argument("--anneal-budget", type=int, default=20000)
-    run.add_argument("--neighbor-scale", type=float, default=0.5)
+    run.add_argument("--alpha", type=float, help="diffusion kick amplitude")
+    run.add_argument("--max-diffusive", type=int, dest="max_diffusive_steps", metavar="MAX_DIFFUSIVE")
+    run.add_argument("--atol", type=float)
+    run.add_argument("--rtol", type=float)
+    run.add_argument("--max-iterations", type=int)
+    run.add_argument("--max-restarts", type=int)
+    run.add_argument("--target", type=float, dest="target_value", metavar="TARGET",
+                     help="known global value")
+    run.add_argument("--target-tol", type=float)
+    run.add_argument("--mc-starts", type=int)
+    run.add_argument("--anneal-budget", type=int, dest="iteration_budget", metavar="ANNEAL_BUDGET")
+    run.add_argument("--neighbor-scale", type=float)
 
     trace = sub.add_parser("trace", help="dump one minimum-escape diffusion trajectory")
     trace.add_argument("--problem", required=True)
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument("--out", default=None)
-    trace.add_argument("--alpha", type=float, default=1.0)
+    trace.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
     return parser
 
 
+def _settings(cls, given: dict, **nested):
+    """A ``cls`` made of the given options named after its fields, and its defaults for the rest."""
+    return cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given}, **nested)
+
+
 def _cmd_run(args) -> int:
-    config = ExplorationConfig(
-        max_critical_points=args.budget,
-        tolerances=Tolerances(atol=args.atol, rtol=args.rtol,
-                              max_iterations=args.max_iterations),
-        diffusion=DiffusionConfig(alpha=args.alpha,
-                                  max_diffusive_steps=args.max_diffusive),
-        seed=args.seed,
-        max_restarts=args.max_restarts,
-    )
-    spec = BenchmarkSpec(
-        problem=args.problem, config=config, repetitions=args.reps,
-        method=args.method,
-        target_value=args.target, target_tol=args.target_tol,
-        mc_starts=args.mc_starts,
-        anneal=AnnealConfig(iteration_budget=args.anneal_budget,
-                            neighbor_scale=args.neighbor_scale),
-    )
+    given = vars(args)
+    config = _settings(ExplorationConfig, given, tolerances=_settings(Tolerances, given),
+                       diffusion=_settings(DiffusionConfig, given))
+    spec = _settings(BenchmarkSpec, given, config=config, anneal=_settings(AnnealConfig, given))
     report = run_benchmark(spec)
-    path = _output_path(args.out, args.problem, args.method, args.format)
+    path = _output_path(args.out, spec.problem, spec.method, args.format)
     emit_report(report, args.format, path)
     agg = report.aggregate()
-    print(f"{args.problem} [{args.method}] reps={args.reps} "
+    print(f"{spec.problem} [{spec.method}] reps={spec.repetitions} "
           f"best={agg['best_value']} distinct_minima={agg['distinct_minima']}")
     if "global_hits" in agg:
-        print(f"target {spec.target_value} hit in {agg['global_hits']}/{args.reps} reps")
+        print(f"target {spec.target_value} hit in {agg['global_hits']}/{spec.repetitions} reps")
     print(f"report written to {path}")
     return 0
 
@@ -119,7 +116,7 @@ def _cmd_trace(args) -> int:
     if result.outcome != CONVERGED:
         print(f"initial minimization did not converge ({result.outcome})", file=sys.stderr)
         return 1
-    esc = escape_minimum(p, result.final, DiffusionConfig(alpha=args.alpha), noise)
+    esc = escape_minimum(p, result.final, _settings(DiffusionConfig, vars(args)), noise)
     path = _output_path(args.out, args.problem, "trace", "csv")
     write_trajectory_csv(esc.trajectory, path)
     print(f"minimum at g={result.final.value:.6g}; escape ({esc.outcome}) after "

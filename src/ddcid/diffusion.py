@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
@@ -17,6 +16,8 @@ from .local_search import (
     _damped_step,
     double_descent_direction,
     evaluate,
+    require_count,
+    require_real,
 )
 from .potentials import Potential
 from .spectral import KIND_MINIMUM, SpectralInfo, kind_from_inertia, newton_solve
@@ -30,19 +31,12 @@ class InertiaMismatchError(ValueError):
     """The point's Hessian inertia does not match the requested escape."""
 
 
-def require_seed(seed: int) -> int:
-    """The one seed rule: an integer >= 0 (numpy integers too, bools not)."""
-    if isinstance(seed, bool) or not (isinstance(seed, Integral) and seed >= 0):
-        raise ValueError("seed must be an integer >= 0")
-    return seed
-
-
 class NoiseSource:
     """Seeded stream of standard-normal draws; identical seeds reproduce
     identical sequences bit-for-bit."""
 
     def __init__(self, seed: int):
-        self._gen = np.random.default_rng(int(require_seed(seed)))
+        self._gen = np.random.default_rng(int(require_count("seed", seed, 0)))
 
     def normal(self, n: int) -> np.ndarray:
         return self._gen.standard_normal(n)
@@ -64,10 +58,8 @@ class DiffusionConfig:
     max_diffusive_steps: int = 50
 
     def __post_init__(self):
-        if not 0 < self.alpha < math.inf:   # also rejects NaN
-            raise ValueError("alpha must be positive and finite")
-        if not (isinstance(self.max_diffusive_steps, Integral) and self.max_diffusive_steps >= 1):
-            raise ValueError("max_diffusive_steps must be an integer >= 1")
+        require_real("alpha", self.alpha, 0)
+        require_count("max_diffusive_steps", self.max_diffusive_steps, 1)
 
 
 @dataclass

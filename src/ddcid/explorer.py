@@ -7,7 +7,6 @@ import dataclasses
 import json
 import time
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from .diffusion import (
     NoiseSource,
     escape_minimum,
     escape_saddle,
-    require_seed,
 )
 from .local_search import (
     CONVERGED,
@@ -27,6 +25,7 @@ from .local_search import (
     _norm,
     evaluate,
     minimize,
+    require_count,
     saddle_search,
 )
 from .potentials import EvaluationError, Potential
@@ -134,10 +133,12 @@ class ExplorationConfig:
     max_restarts: int = 5
 
     def __post_init__(self):
-        if not (isinstance(self.max_critical_points, Integral) and self.max_critical_points >= 1
-                and isinstance(self.max_restarts, Integral) and self.max_restarts >= 0):
-            raise ValueError("need integers max_critical_points >= 1 and max_restarts >= 0")
-        require_seed(self.seed)
+        require_count("max_critical_points", self.max_critical_points, 1)
+        require_count("seed", self.seed, 0)
+        require_count("max_restarts", self.max_restarts, 0)
+        if not (isinstance(self.tolerances, Tolerances)
+                and isinstance(self.diffusion, DiffusionConfig)):
+            raise ValueError("tolerances must be a Tolerances and diffusion a DiffusionConfig")
 
 
 @dataclass

@@ -8,7 +8,6 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
-from numbers import Integral
 
 from .diffusion import NoiseSource, TrajectoryStep, white_noise_id_step
 from .explorer import (
@@ -21,7 +20,7 @@ from .explorer import (
     explore,
     report_json,
 )
-from .local_search import CONVERGED, Point, Tolerances, gradient_descent
+from .local_search import CONVERGED, Point, Tolerances, gradient_descent, require_count, require_real
 from .potentials import EvaluationError, Potential, get_potential
 
 METHODS = ("ddcid", "id_white", "mc_descent", "sim_anneal")
@@ -45,16 +44,16 @@ class BenchmarkSpec:
     anneal: "AnnealConfig | None" = None
 
     def __post_init__(self):
-        if not (isinstance(self.repetitions, Integral) and self.repetitions >= 1):
-            raise ValueError("repetitions must be an integer >= 1")
+        require_count("repetitions", self.repetitions, 1)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if not (isinstance(self.mc_starts, Integral) and self.mc_starts >= 1):
-            raise ValueError("mc_starts must be an integer >= 1")
-        if not (self.target_value is None or math.isfinite(self.target_value)):
-            raise ValueError("target_value must be finite")
-        if not 0 <= self.target_tol < math.inf:   # also rejects NaN
-            raise ValueError("target_tol must be finite and >= 0")
+        require_count("mc_starts", self.mc_starts, 1)
+        if self.target_value is not None:
+            require_real("target_value", self.target_value)
+        require_real("target_tol", self.target_tol, 0, strict=False)
+        if not (isinstance(self.config, ExplorationConfig)
+                and (self.anneal is None or isinstance(self.anneal, AnnealConfig))):
+            raise ValueError("config must be an ExplorationConfig, anneal an AnnealConfig or None")
 
 
 @dataclass
@@ -63,10 +62,8 @@ class AnnealConfig:
     iteration_budget: int = 20000
 
     def __post_init__(self):
-        if not (isinstance(self.iteration_budget, Integral) and self.iteration_budget >= 1):
-            raise ValueError("iteration_budget must be an integer >= 1")
-        if not 0 < self.neighbor_scale < math.inf:   # also rejects NaN
-            raise ValueError("neighbor_scale must be positive and finite")
+        require_real("neighbor_scale", self.neighbor_scale, 0)
+        require_count("iteration_budget", self.iteration_budget, 1)
 
     def temperature(self, ratio: float) -> float:
         """Linear cooling from T = 1 at iteration ratio 0, kept positive."""

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -56,6 +56,20 @@ class StepController:
         return self.current_step <= MIN_STEP
 
 
+def require_count(name: str, value, minimum: int):
+    """The count rule: an integer >= minimum, numpy integers too, bools not."""
+    if isinstance(value, bool) or not (isinstance(value, Integral) and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}")
+    return value
+
+
+def require_real(name: str, value, bound: float = -math.inf, strict: bool = True):
+    """The real rule: a finite real > bound (>= bound unless strict), numpy reals too, bools not."""
+    if isinstance(value, bool) or not (isinstance(value, Real) and math.isfinite(value)
+                                       and (value > bound if strict else value >= bound)):
+        raise ValueError(f"{name} must be a finite number {'>' if strict else '>='} {bound}")
+
+
 @dataclass
 class Tolerances:
     atol: float = 1e-8
@@ -63,10 +77,9 @@ class Tolerances:
     max_iterations: int = 500
 
     def __post_init__(self):
-        if not (0 < self.atol < math.inf and 0 <= self.rtol < math.inf):   # also rejects NaN
-            raise ValueError("need finite atol > 0 and rtol >= 0")
-        if not (isinstance(self.max_iterations, Integral) and self.max_iterations >= 1):
-            raise ValueError("need an integer max_iterations >= 1")
+        require_real("atol", self.atol, 0)
+        require_real("rtol", self.rtol, 0, strict=False)
+        require_count("max_iterations", self.max_iterations, 1)
 
     def threshold(self, reference_norm: float) -> float:
         """atol + rtol * reference_norm: the starting gradient norm or point norm."""

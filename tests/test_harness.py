@@ -1,20 +1,21 @@
 import csv
+import dataclasses
 import json
 import math
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
 
 from ddcid.cli import main
-from ddcid.diffusion import NoiseSource
+from ddcid.diffusion import DiffusionConfig, NoiseSource
 from ddcid.explorer import (
     KIND_MINIMUM,
     CriticalPointTable,
     ExplorationConfig,
     RunReport,
     explore,
+    report_json,
 )
 from ddcid.harness import (
     AnnealConfig,
@@ -180,47 +181,67 @@ def test_benchmark_spec_validation(tmp_path):
     assert not (tmp_path / "report.xml").exists()
 
 
-@pytest.mark.parametrize("starts", [0, -3])
-def test_benchmark_spec_rejects_mc_starts_below_one(starts):
-    with pytest.raises(ValueError):
-        BenchmarkSpec(problem="camel", method="mc_descent", mc_starts=starts)
+# --- the settings rules ------------------------------------------------------------
+
+def _spec(**kw):
+    return BenchmarkSpec("camel", **kw)
 
 
-@pytest.mark.parametrize("tol", [-1e-3, math.nan, math.inf])
-def test_benchmark_spec_rejects_negative_target_tol(tol):
-    with pytest.raises(ValueError):
-        BenchmarkSpec(problem="camel", target_value=0.0, target_tol=tol)
+NAN, INF = math.nan, math.inf
+# Refused by every number setting, as is None but by target_value (no target).
+NOT_NUMBERS = [True, False, "1", np.array(1e-8)]
+
+# Every setting of the five settings classes: (make, field, values refused
+# besides NOT_NUMBERS, values accepted and echoed as the numbers they hold).
+# NaN passes a `<=` range check and 2.5 a `>= 1` one, then dies in range();
+# a bool would be echoed as true or false, and a 0-d array cannot be written.
+SETTINGS = [
+    (Tolerances, "atol", [0.0, NAN, INF, None], [np.float64(1e-6), np.float32(0.5)]),
+    (Tolerances, "rtol", [NAN, INF, None], [0, np.float64(0.0)]),
+    (Tolerances, "max_iterations", [NAN, INF, 2.5, 3.0, None], [np.int64(3)]),
+    (DiffusionConfig, "alpha", [0.0, NAN, INF, None], [np.float64(0.5), np.float32(2.0)]),
+    (DiffusionConfig, "max_diffusive_steps", [NAN, INF, 2.5, 3.0, None], [np.int64(3)]),
+    (ExplorationConfig, "max_critical_points", [0, NAN, INF, 2.5, 3.0, None], [np.int64(3)]),
+    (ExplorationConfig, "max_restarts", [NAN, INF, 2.5, 3.0, None], [0, np.int64(3)]),
+    (ExplorationConfig, "seed", [-1, 1.5, 3.0, None], [0, np.int64(3)]),
+    (_spec, "repetitions", [0, 2.5, 3.0, None], [np.int64(3)]),
+    (_spec, "mc_starts", [0, -3, 2.5, 3.0, None], [np.int64(3)]),
+    (_spec, "target_value", [NAN, INF, -INF], [None, np.float64(-1.5), np.int64(-2)]),
+    (_spec, "target_tol", [-1e-3, NAN, INF, None], [0, np.float64(1e-3)]),
+    (AnnealConfig, "iteration_budget", [0, 2.5, 3.0, None], [np.int64(3)]),
+    (AnnealConfig, "neighbor_scale", [0.0, -0.5, NAN, INF, None], [np.float64(0.25)]),
+]
+# The settings objects that other settings hold.
+NESTED = [
+    (ExplorationConfig, "tolerances", [None, DiffusionConfig()], [Tolerances(atol=1e-6)]),
+    (ExplorationConfig, "diffusion", [None, Tolerances()], [DiffusionConfig(alpha=0.5)]),
+    (_spec, "config", [None, Tolerances()], [ExplorationConfig(seed=3)]),
+    (_spec, "anneal", [{"iteration_budget": 10}, ExplorationConfig()], [None, AnnealConfig()]),
+]
 
 
-@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
-def test_benchmark_spec_rejects_non_finite_target_value(target):
-    with pytest.raises(ValueError):
-        BenchmarkSpec(problem="camel", target_value=target)
+def _rows():
+    numbers = [(make, field, refused + NOT_NUMBERS, ok) for make, field, refused, ok in SETTINGS]
+    for make, field, refused, accepted in numbers + NESTED:
+        owner = "BenchmarkSpec" if make is _spec else make.__name__
+        for value, ok in [(v, False) for v in refused] + [(v, True) for v in accepted]:
+            name = type(value).__name__ if dataclasses.is_dataclass(value) else repr(value)
+            yield pytest.param(make, field, value, ok,
+                               id=f"{owner}.{field}={name}-{'accepted' if ok else 'refused'}")
 
 
-def test_anneal_config_rejects_empty_budget():
-    with pytest.raises(ValueError):
-        AnnealConfig(iteration_budget=0)
-
-
-@pytest.mark.parametrize("config, field_name", [
-    (BenchmarkSpec, "repetitions"),
-    (BenchmarkSpec, "mc_starts"),
-    (AnnealConfig, "iteration_budget"),
-])
-def test_harness_settings_reject_non_integer_counts(config, field_name):
-    # 2.5 passes the range check, and the run then dies in range().
-    make = partial(BenchmarkSpec, "camel") if config is BenchmarkSpec else config
-    for bad in (2.5, 3.0):
-        with pytest.raises(ValueError):
-            make(**{field_name: bad})
-    assert getattr(make(**{field_name: np.int64(3)}), field_name) == 3
-
-
-@pytest.mark.parametrize("scale", [0.0, -0.5, math.nan, math.inf])
-def test_anneal_config_rejects_nonpositive_neighbor_scale(scale):
-    with pytest.raises(ValueError):
-        AnnealConfig(neighbor_scale=scale)
+@pytest.mark.parametrize("make, field, value, accepted", _rows())
+def test_settings_rules(make, field, value, accepted):
+    # Each setting is checked when its object is made, by the count rule, the
+    # real rule or a type check, and the ValueError names the field.
+    if not accepted:
+        with pytest.raises(ValueError, match=field):
+            make(**{field: value})
+        return
+    echoed = json.loads(report_json(dataclasses.asdict(make(**{field: value}))))[field]
+    expected = dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
+    assert echoed == expected
+    assert type(echoed) is type(value.item() if isinstance(value, np.generic) else expected)
 
 
 def test_run_benchmark_ddcid_aggregates():

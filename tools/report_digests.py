@@ -16,8 +16,10 @@ options.  Each line is a label and the SHA-256 of:
   budget 40: 74 runs;
 - ``run_benchmark(...).to_json(include_timing=False)`` on camel for each
   method;
-- the exit code, standard output, standard error and written file of seven
-  CLI commands, run in an empty directory;
+- the exit code, standard output, standard error and written file of
+  eleven CLI commands, run in an empty directory: seven with default
+  settings, and four that together give every ``run`` option and ``trace
+  --alpha`` a value other than its default;
 - every field of the search and escape records, which no report holds: the
   histories of ``minimize``, ``gradient_descent`` and ``saddle_search`` from a
   ``draw_start`` point, then the ``escape_minimum`` trajectory from
@@ -69,6 +71,17 @@ CLI_COMMANDS = [
     ["trace", "--problem", "camel", "--seed", "1", "--out", "trace.csv"],
     ["trace", "--problem", "lj:5", "--seed", "0", "--out", "trace.csv"],
     ["trace", "--problem", "boggs", "--seed", "2", "--out", "trace.csv"],
+    # Together these set every option to a value that changes their output,
+    # so an option wired to the wrong setting changes a digest.
+    ["run", "--problem", "camel", "--budget", "8", "--seed", "3", "--reps", "2",
+     "--alpha", "0.5", "--max-diffusive", "4", "--atol", "1e-5", "--rtol", "1e-6",
+     "--max-iterations", "8", "--max-restarts", "2", "--target", "-1.0316",
+     "--target-tol", "1e-5", "--format", "csv", "--out", "flags.csv"],
+    ["run", "--problem", "camel", "--method", "mc_descent", "--mc-starts", "7",
+     "--format", "csv", "--out", "mc.csv"],
+    ["run", "--problem", "molei", "--method", "sim_anneal", "--anneal-budget", "2000",
+     "--neighbor-scale", "0.25", "--format", "csv", "--out", "anneal.csv"],
+    ["trace", "--problem", "molei", "--seed", "3", "--alpha", "0.5", "--out", "trace.csv"],
 ]
 
 
